@@ -21,22 +21,27 @@ from .autodiff import Tensor, concat, conv2d, relu, sigmoid, upsample2x
 from .errors import ShapeError, ValidationError
 
 
+IN_CHANNELS = 1   # grayscale frames; the encoder adds one mask channel
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
-    in_channels: int = 1
     stage_channels: tuple[int, ...] = (16, 32, 64)
-    total_stride: int = 8
-    feature_channels: int = 64
 
     def __post_init__(self):
-        if self.total_stride != 2 ** len(self.stage_channels):
-            raise ValidationError(
-                f"total_stride {self.total_stride} must equal 2^(stages) = "
-                f"{2 ** len(self.stage_channels)}")
-        if self.feature_channels != self.stage_channels[-1]:
-            raise ValidationError("feature_channels must equal the last stage width")
+        if not self.stage_channels:
+            raise ValidationError("stage_channels must name at least one stage")
         if self.feature_channels % 8 != 0:
-            raise ValidationError("feature_channels must be divisible by 8")
+            raise ValidationError(
+                f"the last stage width {self.feature_channels} must be divisible by 8")
+
+    @property
+    def total_stride(self) -> int:
+        return 2 ** len(self.stage_channels)   # each stage halves the resolution
+
+    @property
+    def feature_channels(self) -> int:
+        return self.stage_channels[-1]
 
     @property
     def key_channels(self) -> int:
@@ -55,7 +60,6 @@ class FrameEmbedding:
     key: Tensor                # (C/8, h, w)
     value: Tensor              # (C/2, h, w)
     skips: list[Tensor] = field(default_factory=list)   # per-stage maps, shallow to deep
-    tap: int = 4               # which stage feeds the coarse-grained branch
 
 
 class Initializer:
@@ -127,17 +131,17 @@ class Encoder:
 
     def __init__(self, config: EncoderConfig, init: Initializer):
         self.config = config
-        channels = [config.in_channels + 1] + list(config.stage_channels)  # +1 mask channel
+        channels = [IN_CHANNELS + 1] + list(config.stage_channels)  # +1 mask channel
         self.stages = [_Stage(init, channels[i], channels[i + 1])
                        for i in range(len(config.stage_channels))]
         c = config.feature_channels
         self.key_head = Conv(init, c, config.key_channels, 1)
         self.value_head = Conv(init, c, config.value_channels, 1)
 
-    def encode(self, frame: Tensor, mask: Tensor | None = None, tap: int = 4) -> FrameEmbedding:
+    def encode(self, frame: Tensor, mask: Tensor | None = None) -> FrameEmbedding:
         """Embed one (1, H, W) frame, optionally carrying a mask channel."""
-        if frame.ndim != 3 or frame.shape[0] != self.config.in_channels:
-            raise ShapeError(f"expected ({self.config.in_channels}, H, W) frame, got {frame.shape}")
+        if frame.ndim != 3 or frame.shape[0] != IN_CHANNELS:
+            raise ShapeError(f"expected ({IN_CHANNELS}, H, W) frame, got {frame.shape}")
         _, h0, w0 = frame.shape
         stride = self.config.total_stride
         if h0 % stride or w0 % stride:
@@ -162,7 +166,6 @@ class Encoder:
             key=self.key_head(feature),
             value=self.value_head(feature),
             skips=skips,
-            tap=tap,
         )
 
     def params(self) -> dict[str, Tensor]:

@@ -8,6 +8,7 @@ the output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,17 +61,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             default=None, help=meaning)
 
 
-_CONFIG_FIELDS = ("data_root", "seed", "steps", "learning_rate", "momentum",
-                  "pooling", "encoder_tap", "similarity", "memory_capacity",
-                  "use_sfm", "use_msff", "key_scaling", "prior_mask_mapping",
-                  "teacher_forcing", "hard_prior", "key_from_gated",
-                  "use_current_value")
-
-
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS
-                 if hasattr(args, name)}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                 if hasattr(args, f.name)}
     return apply_overrides(cfg, overrides)
 
 

@@ -1,6 +1,10 @@
 """Run configuration: one flat dataclass, serialized as sectioned
 `key = value` text (configparser syntax).
 
+The dataclass is the whole schema: each field names its ini section in
+its metadata, its parser follows from its annotation, and the model
+settings are the fields it shares with `ModelConfig`.
+
 Precedence is file < explicit overrides (CLI flags), and every command
 echoes the effective config into its output directory so a run can be
 reproduced from its artifacts alone.
@@ -11,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,41 +24,36 @@ from .errors import ValidationError
 from .model import ModelConfig
 
 
+def _in(section: str, default):
+    """A RunConfig field stored under `[section]` in the config text."""
+    return dataclasses.field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # data
-    data_root: str = ""
-    split_ratio: float = 0.9
-    split_seed: int = 0
-    # model
-    stage_channels: tuple[int, ...] = (16, 32, 64)
-    total_stride: int = 8
-    feature_channels: int = 64
-    use_sfm: bool = True
-    use_msff: bool = True
-    pooling: str = "both"
-    encoder_tap: int = 4
-    prior_mask_mapping: bool = True
-    similarity: str = "standard"
-    key_scaling: bool = True
-    key_from_gated: bool = False
-    use_current_value: bool = False
-    hard_prior: bool = False
-    memory_capacity: int = 0        # 0 means unlimited
-    fc_reduction: int = 4
-    # train
-    learning_rate: float = 1e-2
-    momentum: float = 0.0
-    steps: int = 200
-    log_every: int = 20
-    loss_window: int = 20
-    teacher_forcing: bool = False
-    # run
-    seed: int = 0
+    data_root: str = _in("data", "")
+    stage_channels: tuple[int, ...] = _in("model", (16, 32, 64))
+    use_sfm: bool = _in("model", True)
+    use_msff: bool = _in("model", True)
+    pooling: str = _in("model", "both")
+    encoder_tap: int = _in("model", 4)
+    prior_mask_mapping: bool = _in("model", True)
+    similarity: str = _in("model", "standard")
+    key_scaling: bool = _in("model", True)
+    key_from_gated: bool = _in("model", False)
+    use_current_value: bool = _in("model", False)
+    hard_prior: bool = _in("model", False)
+    memory_capacity: int = _in("model", 0)        # 0 means unlimited
+    fc_reduction: int = _in("model", 4)
+    learning_rate: float = _in("train", 1e-2)
+    momentum: float = _in("train", 0.0)
+    steps: int = _in("train", 200)
+    log_every: int = _in("train", 20)
+    loss_window: int = _in("train", 20)
+    teacher_forcing: bool = _in("train", False)
+    seed: int = _in("run", 0)
 
     def __post_init__(self):
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ValidationError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
         if self.steps < 0 or self.learning_rate <= 0.0:
             raise ValidationError("steps must be >= 0 and learning_rate > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -62,41 +62,30 @@ class RunConfig:
             raise ValidationError("loss_window and log_every must be >= 1")
         self.model_config()   # surfaces model-side validation early
 
+    @property
+    def total_stride(self) -> int:
+        return self.encoder_config().total_stride
+
+    @property
+    def feature_channels(self) -> int:
+        return self.encoder_config().feature_channels
+
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(stage_channels=tuple(self.stage_channels),
-                             total_stride=self.total_stride,
-                             feature_channels=self.feature_channels)
+        return EncoderConfig(stage_channels=tuple(self.stage_channels))
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            encoder=self.encoder_config(),
-            use_sfm=self.use_sfm,
-            use_msff=self.use_msff,
-            pooling=self.pooling,
-            encoder_tap=self.encoder_tap,
-            prior_mask_mapping=self.prior_mask_mapping,
-            similarity=self.similarity,
-            key_scaling=self.key_scaling,
-            key_from_gated=self.key_from_gated,
-            use_current_value=self.use_current_value,
-            hard_prior=self.hard_prior,
-            memory_capacity=self.memory_capacity or None,
-            fc_reduction=self.fc_reduction,
-        )
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)
+                  if f.name in _SECTION}
+        shared.update(encoder=self.encoder_config(),
+                      memory_capacity=self.memory_capacity or None)
+        return ModelConfig(**shared)
 
 
-_SECTIONS = {
-    "data": ("data_root", "split_ratio", "split_seed"),
-    "model": ("stage_channels", "total_stride", "feature_channels", "use_sfm",
-              "use_msff", "pooling", "encoder_tap", "prior_mask_mapping",
-              "similarity", "key_scaling", "key_from_gated", "use_current_value",
-              "hard_prior", "memory_capacity", "fc_reduction"),
-    "train": ("learning_rate", "momentum", "steps", "log_every", "loss_window",
-              "teacher_forcing"),
-    "run": ("seed",),
-}
+_SECTION = {f.name: f.metadata["section"] for f in dataclasses.fields(RunConfig)}
 
-_FIELD_SECTION = {name: section for section, names in _SECTIONS.items() for name in names}
+# keys written by earlier versions: accepted in their old section, not stored
+_RETIRED = {"split_ratio": "data", "split_seed": "data",
+            "total_stride": "model", "feature_channels": "model"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -115,33 +104,9 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-_COERCERS = {
-    "data_root": str,
-    "split_ratio": float,
-    "split_seed": int,
-    "stage_channels": _parse_int_tuple,
-    "total_stride": int,
-    "feature_channels": int,
-    "use_sfm": _parse_bool,
-    "use_msff": _parse_bool,
-    "pooling": str,
-    "encoder_tap": int,
-    "prior_mask_mapping": _parse_bool,
-    "similarity": str,
-    "key_scaling": _parse_bool,
-    "key_from_gated": _parse_bool,
-    "use_current_value": _parse_bool,
-    "hard_prior": _parse_bool,
-    "memory_capacity": int,
-    "fc_reduction": int,
-    "learning_rate": float,
-    "momentum": float,
-    "steps": int,
-    "log_every": int,
-    "loss_window": int,
-    "teacher_forcing": _parse_bool,
-    "seed": int,
-}
+_SPECIAL_PARSERS = {bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
+_PARSERS = {name: _SPECIAL_PARSERS.get(hint, hint)
+            for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def _render_value(value) -> str:
@@ -152,39 +117,63 @@ def _render_value(value) -> str:
     return str(value)
 
 
+def _ini() -> configparser.ConfigParser:
+    # no interpolation: a '%' in a path is just a character
+    return configparser.ConfigParser(interpolation=None)
+
+
 def config_to_text(cfg: RunConfig) -> str:
-    parser = configparser.ConfigParser()
-    for section, names in _SECTIONS.items():
-        parser[section] = {name: _render_value(getattr(cfg, name)) for name in names}
+    parser = _ini()
+    for name, section in _SECTION.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][name] = _render_value(getattr(cfg, name))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
+def _coerce(key: str, parse, raw):
+    try:
+        return parse(raw) if isinstance(raw, str) else raw
+    except ValueError as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from exc
+
+
 def _coerce_items(items) -> dict:
     values = {}
     for key, raw in items:
-        if key not in _COERCERS:
+        if key not in _PARSERS:
             raise ValidationError(f"unknown config key {key!r}")
-        try:
-            values[key] = _COERCERS[key](raw) if isinstance(raw, str) else raw
-        except ValueError as exc:
-            raise ValidationError(f"config key {key!r}: {exc}") from exc
+        values[key] = _coerce(key, _PARSERS[key], raw)
     return values
 
 
 def config_from_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    items = []
+    parser = _ini()
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config text: {exc}") from exc
+    sections = set(_SECTION.values())
+    items, retired = [], {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ValidationError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if _FIELD_SECTION.get(key) != section:
+            if _SECTION.get(key, _RETIRED.get(key)) != section:
                 raise ValidationError(f"key {key!r} does not belong in section [{section}]")
-            items.append((key, raw))
-    return RunConfig(**_coerce_items(items))
+            if key in _RETIRED:
+                retired[key] = raw
+            else:
+                items.append((key, raw))
+    cfg = RunConfig(**_coerce_items(items))
+    for key in ("total_stride", "feature_channels"):
+        if key in retired and _coerce(key, int, retired[key]) != getattr(cfg, key):
+            raise ValidationError(
+                f"config key {key!r} = {retired[key]} disagrees with stage_channels "
+                f"{cfg.stage_channels}, which give {getattr(cfg, key)}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

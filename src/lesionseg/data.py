@@ -76,7 +76,6 @@ class VideoSequence:
     masks: list[Tensor] | None
     label: str = "synthetic"
     padding: Padding = Padding()
-    original_size: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.label not in LABELS:
@@ -150,7 +149,6 @@ def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
         if arr.shape != base:
             raise ValidationError(
                 f"{name}: mask for {frame_paths[i].name} is {arr.shape[1:]}, frames are {base[1:]}")
-    original = (base[1], base[2])
     padded_frames, pad = zip(*(pad_to_multiple(f, stride, "edge") for f in frames))
     pad = pad[0]
     padded_masks = [pad_to_multiple(m, stride, "constant")[0] for m in masks]
@@ -160,7 +158,6 @@ def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
         masks=[Tensor(m) for m in padded_masks] if has_masks else None,
         label=_infer_label(name),
         padding=pad,
-        original_size=original,
     )
 
 

@@ -44,14 +44,12 @@ def ce_loss(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
 
 
 def segmentation_metrics(pred_prob: np.ndarray, gt: np.ndarray,
-                         threshold: float = 0.5,
-                         mae_on_prob: bool = True) -> tuple[float, float, float, float]:
+                         threshold: float = 0.5) -> tuple[float, float, float, float]:
     """(dice, iou, recall, mae) for one predicted frame.
 
     Dice/IoU/Recall are computed on the prediction binarized at
     ``threshold``; MAE is the mean absolute per-pixel error against the
-    continuous map (or against the binarized one when ``mae_on_prob`` is
-    off).  Empty-set conventions: both masks empty -> dice = iou =
+    continuous map.  Empty-set conventions: both masks empty -> dice = iou =
     recall = 1; GT empty but prediction not -> recall = 1, dice = iou = 0.
     """
     pred_prob = np.asarray(pred_prob, dtype=np.float64)
@@ -74,8 +72,7 @@ def segmentation_metrics(pred_prob: np.ndarray, gt: np.ndarray,
         iou = inter / union
     recall = 1.0 if n_gt == 0.0 else inter / n_gt
 
-    mae_src = pred_prob if mae_on_prob else sr.astype(np.float64)
-    mae = float(np.mean(np.abs(mae_src - gt)))
+    mae = float(np.mean(np.abs(pred_prob - gt)))
     return dice, iou, recall, mae
 
 

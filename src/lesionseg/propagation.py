@@ -48,11 +48,11 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
     if not np.isin(values, (0.0, 1.0)).all():
         raise ValidationError("first-frame mask must be binary {0, 1}")
     cfg = model.config
-    seeded = model.encoder.encode(frame, mask=gt_mask, tap=cfg.encoder_tap)
+    seeded = model.encoder.encode(frame, mask=gt_mask)
     memory = MemoryBank(capacity=cfg.memory_capacity)
     memory.append(seeded.key, seeded.value)
-    raw = model.encoder.encode(frame, tap=cfg.encoder_tap)
-    prior = PriorState(prev_frame=frame, prev_mask=gt_mask, prev_key=raw.key)
+    raw = model.encoder.encode(frame)
+    prior = PriorState(prev_mask=gt_mask, prev_key=raw.key)
     return PropagationState(memory=memory, prior=prior, frame_index=1)
 
 
@@ -65,7 +65,7 @@ def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
     in the memory append and the next prior.
     """
     cfg = model.config
-    current = model.encoder.encode(frame, tap=cfg.encoder_tap)
+    current = model.encoder.encode(frame)
     temporal = memory_read(state.memory, current.key, key_scaling=cfg.key_scaling,
                            similarity=cfg.similarity)
     spatial = None
@@ -74,7 +74,7 @@ def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
             gate_input = apply_prior(state.prior.prev_mask, frame)
         else:
             gate_input = frame
-        gated = model.encoder.encode(gate_input, tap=cfg.encoder_tap)
+        gated = model.encoder.encode(gate_input)
         prev_key = gated.key if cfg.key_from_gated else state.prior.prev_key
         spatial = spatial_read(current.key, prev_key, gated.value,
                                key_scaling=cfg.key_scaling, similarity=cfg.similarity)
@@ -84,9 +84,9 @@ def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
 
     state_mask = _as_state_mask(pred if update_mask is None else update_mask,
                                 cfg.hard_prior)
-    remembered = model.encoder.encode(frame, mask=state_mask, tap=cfg.encoder_tap)
+    remembered = model.encoder.encode(frame, mask=state_mask)
     state.memory.append(remembered.key, remembered.value)
-    prior = PriorState(prev_frame=frame, prev_mask=state_mask, prev_key=current.key)
+    prior = PriorState(prev_mask=state_mask, prev_key=current.key)
     return PropagationState(memory=state.memory, prior=prior,
                             frame_index=state.frame_index + 1), pred
 

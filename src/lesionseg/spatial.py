@@ -20,9 +20,8 @@ from .temporal import attention_read
 class PriorState:
     """What the previous frame hands to the current step."""
 
-    prev_frame: Tensor   # (1, H, W)
     prev_mask: Tensor    # (1, H, W) probability map in [0, 1]
-    prev_key: Tensor     # (C/8, h, w), from the ungated encode of prev_frame
+    prev_key: Tensor     # (C/8, h, w), from the ungated encode of the previous frame
 
     def __post_init__(self):
         if self.prev_mask.data.min() < 0.0 or self.prev_mask.data.max() > 1.0:

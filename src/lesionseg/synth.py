@@ -151,7 +151,6 @@ def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[Ell
         masks=[Tensor(m) for m in masks],
         label="synthetic",
         padding=Padding(),
-        original_size=(res, res),
     )
     return seq, track
 
@@ -163,8 +162,7 @@ def synth_generate(cfg: SynthConfig, seed) -> VideoSequence:
 
 
 def make_dataset(root, count: int, cfg: SynthConfig, seed: int,
-                 val_count: int | None = None, ratio: float = 0.9,
-                 split_seed: int | None = None) -> tuple[list[str], list[str]]:
+                 val_count: int | None = None, ratio: float = 0.9) -> tuple[list[str], list[str]]:
     """Write `count` generated sequences as a directory tree with split files.
 
     Sequence i is seeded by (seed, i), so trees regenerate byte-identically.
@@ -181,12 +179,12 @@ def make_dataset(root, count: int, cfg: SynthConfig, seed: int,
                        [f.data for f in seq.frames],
                        [m.data for m in seq.masks])
     if val_count is None:
-        train, val = split_names(names, ratio, seed if split_seed is None else split_seed)
+        train, val = split_names(names, ratio, seed)
     else:
         if not 0 <= val_count < count:
             raise ValidationError(f"val_count must be in [0, {count})")
         order = list(names)
-        np.random.default_rng(seed if split_seed is None else split_seed).shuffle(order)
+        np.random.default_rng(seed).shuffle(order)
         val = sorted(order[:val_count])
         train = sorted(set(names) - set(val))
     write_split_files(root, train, val)

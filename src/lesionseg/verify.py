@@ -39,7 +39,7 @@ from .train import smoothed, train
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-12
 
-SMALL_ENC = EncoderConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8)
+SMALL_ENC = EncoderConfig(stage_channels=(4, 8))
 
 # noiseless sequences for the overfit run; motion and deformation stay on
 OVERFIT_SYNTH = SynthConfig(resolution=64, frames=5, blur_sigma=0.0, speckle=0.0,

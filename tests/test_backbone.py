@@ -7,16 +7,16 @@ from lesionseg.autodiff import Tensor, grad_check, tmean
 from lesionseg.backbone import Decoder, Encoder, EncoderConfig, Initializer, predict_mask
 from lesionseg.errors import ShapeError, ValidationError
 
-SMALL = EncoderConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8)
+SMALL = EncoderConfig(stage_channels=(4, 8))
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        EncoderConfig(stage_channels=(16, 32), total_stride=8)   # 2 stages != 2^3
+        EncoderConfig(stage_channels=(16, 32, 60))   # last width not /8
     with pytest.raises(ValidationError):
-        EncoderConfig(stage_channels=(16, 32, 60), feature_channels=60)  # not /8
-    with pytest.raises(ValidationError):
-        EncoderConfig(feature_channels=32)   # last stage is 64
+        EncoderConfig(stage_channels=())
+    assert (SMALL.total_stride, SMALL.feature_channels) == (4, 8)
+    assert (EncoderConfig().total_stride, EncoderConfig().feature_channels) == (8, 64)
 
 
 def test_default_embedding_shapes():
@@ -85,7 +85,7 @@ def test_decoder_zero_inputs_give_bias():
     (SMALL, 16),
     (SMALL, 32),
     (EncoderConfig(), 64),
-    (EncoderConfig(stage_channels=(8, 16, 24), feature_channels=24), 24),
+    (EncoderConfig(stage_channels=(8, 16, 24)), 24),
 ])
 def test_encode_decode_round_trip_shape(config, hw):
     init = Initializer(7)

@@ -9,7 +9,7 @@ from lesionseg.config import RunConfig
 from lesionseg.errors import ValidationError
 from lesionseg.model import SegmentationModel
 
-SMALL = RunConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8)
+SMALL = RunConfig(stage_channels=(4, 8))
 
 
 def small_model(seed=0):
@@ -111,8 +111,7 @@ def test_zero_step_training_checkpoints_the_initialization(tmp_path):
 
 
 def test_architecture_comes_from_the_stored_config(tmp_path):
-    cfg = RunConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8,
-                    use_msff=False, use_sfm=False)
+    cfg = RunConfig(stage_channels=(4, 8), use_msff=False, use_sfm=False)
     model = SegmentationModel(cfg.model_config(), seed=0)
     save_checkpoint(tmp_path / "ck", model, cfg)
     loaded, loaded_cfg, _, _ = load_checkpoint(tmp_path / "ck")

@@ -1,6 +1,8 @@
 """End-to-end CLI coverage: synth -> train -> eval -> predict, ablate,
 verify, flag precedence, and error exits."""
 
+import argparse
+import dataclasses
 import importlib.metadata
 import importlib.util
 import os
@@ -13,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import lesionseg
-from lesionseg.cli import main
-from lesionseg.config import load_config
+from lesionseg.cli import _add_config_flags, _effective_config, build_parser, main
+from lesionseg.config import RunConfig, load_config
 
 RES = 48   # roomy enough for the default lesion geometry
 REPO = Path(__file__).resolve().parents[1]
@@ -124,6 +126,51 @@ def test_flags_override_config_file(pipeline, tmp_path):
     echoed = load_config(out / "config.ini")
     assert echoed.steps == 3            # flag beats file
     assert echoed.learning_rate == 0.5  # file beats default
+
+
+# every config flag with the RunConfig field it sets and a non-default value
+CONFIG_FLAGS = [
+    (["--data", "/d"], "data_root", "/d"),
+    (["--seed", "4"], "seed", 4),
+    (["--steps", "9"], "steps", 9),
+    (["--lr", "0.25"], "learning_rate", 0.25),
+    (["--momentum", "0.5"], "momentum", 0.5),
+    (["--pooling", "avg"], "pooling", "avg"),
+    (["--encoder-tap", "3"], "encoder_tap", 3),
+    (["--similarity", "paper-literal"], "similarity", "paper-literal"),
+    (["--memory-capacity", "5"], "memory_capacity", 5),
+    (["--no-sfm"], "use_sfm", False),
+    (["--no-msff"], "use_msff", False),
+    (["--no-key-scaling"], "key_scaling", False),
+    (["--no-prior-mask-mapping"], "prior_mask_mapping", False),
+    (["--teacher-forcing"], "teacher_forcing", True),
+    (["--hard-prior"], "hard_prior", True),
+    (["--key-from-gated"], "key_from_gated", True),
+    (["--use-current-value"], "use_current_value", True),
+]
+
+
+@pytest.mark.parametrize("argv,field,value", CONFIG_FLAGS)
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_config_flag_lands_on_its_field(command, argv, field, value):
+    args = build_parser().parse_args([command, "--out", "o"] + argv)
+    assert _effective_config(args) == dataclasses.replace(RunConfig(), **{field: value})
+
+
+def test_every_config_flag_is_covered():
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"help", "config"}
+    assert dests == {field for _, field, _ in CONFIG_FLAGS}
+    assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_malformed_config_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("steps = 5\n")
+    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_without_data_exits_2(capsys):

@@ -1,12 +1,17 @@
 """Run-config serialization: round trips, precedence, validation."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lesionseg.config import (RunConfig, apply_overrides, config_from_text,
                               config_to_text, load_config, save_config)
 from lesionseg.errors import ValidationError
+from lesionseg.fusion import POOLING_MODES
+from lesionseg.model import TAP_CHOICES
+from lesionseg.temporal import SIMILARITY_MODES
 
 
 def test_defaults_build_a_valid_model_config():
@@ -18,9 +23,8 @@ def test_defaults_build_a_valid_model_config():
 
 
 def test_text_round_trip_is_identity():
-    cfg = RunConfig(data_root="/tmp/x", stage_channels=(8, 16), total_stride=4,
-                    feature_channels=16, learning_rate=0.25, steps=7,
-                    use_msff=False, memory_capacity=3, seed=11)
+    cfg = RunConfig(data_root="/tmp/x", stage_channels=(8, 16), learning_rate=0.25,
+                    steps=7, use_msff=False, memory_capacity=3, seed=11)
     assert config_from_text(config_to_text(cfg)) == cfg
 
 
@@ -77,8 +81,8 @@ def test_bad_value_types_rejected():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(split_ratio=0.0),
-    dict(split_ratio=1.0),
+    dict(memory_capacity=-1),
+    dict(stage_channels=(16, 32, 60)),  # last stage width not divisible by 8
     dict(learning_rate=0.0),
     dict(steps=-1),
     dict(momentum=1.0),
@@ -87,8 +91,7 @@ def test_bad_value_types_rejected():
     dict(log_every=0),
     dict(pooling="median"),
     dict(encoder_tap=1),
-    dict(stage_channels=(16, 32), total_stride=4, feature_channels=32,
-         encoder_tap=2),  # tap 2 needs >= 3 stages to reach the third-last one
+    dict(stage_channels=(16, 32), encoder_tap=2),  # tap 2 needs >= 3 stages
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises((ValidationError, ValueError)):
@@ -125,3 +128,195 @@ def test_overridden_config_revalidates():
 def test_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().steps = 5
+
+
+# -- one schema ----------------------------------------------------------
+
+# config_to_text(RunConfig()) as written before split_ratio, split_seed,
+# total_stride and feature_channels were retired, minus those four lines
+DEFAULT_TEXT = """\
+[data]
+data_root = 
+
+[model]
+stage_channels = 16, 32, 64
+use_sfm = true
+use_msff = true
+pooling = both
+encoder_tap = 4
+prior_mask_mapping = true
+similarity = standard
+key_scaling = true
+key_from_gated = false
+use_current_value = false
+hard_prior = false
+memory_capacity = 0
+fc_reduction = 4
+
+[train]
+learning_rate = 0.01
+momentum = 0.0
+steps = 200
+log_every = 20
+loss_window = 20
+teacher_forcing = false
+
+[run]
+seed = 0
+
+"""
+
+# a config.ini in the earlier 25-key format, every value off its default
+LEGACY_TEXT = """\
+[data]
+data_root = /data/busv
+split_ratio = 0.8
+split_seed = 5
+
+[model]
+stage_channels = 8, 16
+total_stride = 4
+feature_channels = 16
+use_sfm = false
+use_msff = false
+pooling = max
+encoder_tap = 3
+prior_mask_mapping = false
+similarity = paper-literal
+key_scaling = false
+key_from_gated = true
+use_current_value = true
+hard_prior = true
+memory_capacity = 6
+fc_reduction = 2
+
+[train]
+learning_rate = 0.05
+momentum = 0.9
+steps = 500
+log_every = 10
+loss_window = 5
+teacher_forcing = true
+
+[run]
+seed = 7
+
+"""
+
+LEGACY_CONFIG = RunConfig(
+    data_root="/data/busv", stage_channels=(8, 16), use_sfm=False, use_msff=False,
+    pooling="max", encoder_tap=3, prior_mask_mapping=False, similarity="paper-literal",
+    key_scaling=False, key_from_gated=True, use_current_value=True, hard_prior=True,
+    memory_capacity=6, fc_reduction=2, learning_rate=0.05, momentum=0.9, steps=500,
+    log_every=10, loss_window=5, teacher_forcing=True, seed=7)
+
+RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels")
+
+
+def test_schema_has_21_fields_and_derives_stride_and_width():
+    assert len(dataclasses.fields(RunConfig)) == 21
+    assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
+    cfg = RunConfig(stage_channels=(8, 16))
+    assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
+    assert cfg.model_config().encoder.total_stride == 4
+
+
+def test_default_text_is_pinned():
+    assert config_to_text(RunConfig()) == DEFAULT_TEXT
+
+
+def test_legacy_25_key_text_loads_to_the_same_values():
+    assert len([line for line in LEGACY_TEXT.splitlines() if " = " in line]) == 25
+    cfg = config_from_text(LEGACY_TEXT)
+    assert cfg == LEGACY_CONFIG
+    echoed = config_to_text(cfg)
+    assert not any(line.split(" = ")[0] in RETIRED for line in echoed.splitlines())
+
+
+@pytest.mark.parametrize("key,section", [
+    ("split_seed", "model"), ("split_ratio", "train"),
+    ("total_stride", "data"), ("feature_channels", "run")])
+def test_retired_keys_only_in_their_old_section(key, section):
+    with pytest.raises(ValidationError, match="does not belong"):
+        config_from_text(f"[{section}]\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("line", ["total_stride = 8", "feature_channels = 64",
+                                  "total_stride = eight"])
+def test_retired_derived_keys_must_agree_with_stage_channels(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ValidationError, match=key):
+        config_from_text(f"[model]\nstage_channels = 16, 32\n{line}\n")
+
+
+@pytest.mark.parametrize("root", ["/tmp/100%data", "/tmp/a%(b)s"])
+def test_percent_in_values_round_trips(root, tmp_path):
+    cfg = RunConfig(data_root=root)
+    assert config_from_text(config_to_text(cfg)) == cfg
+    save_config(cfg, tmp_path / "run.ini")
+    assert load_config(tmp_path / "run.ini").data_root == root
+
+
+@pytest.mark.parametrize("text", [
+    "steps = 5\n",                                  # no section header
+    "[train]\nsteps = 5\nsteps = 6\n",              # duplicate key
+    "[train]\nsteps = 5\n[train]\nseed = 1\n",      # duplicate section
+    "[train]\nsteps\n",                             # line without '='
+])
+def test_malformed_text_is_a_validation_error(text):
+    with pytest.raises(ValidationError, match="malformed"):
+        config_from_text(text)
+
+
+def _stage_channels():
+    inner = st.lists(st.integers(1, 64), max_size=3)
+    return st.tuples(inner, st.integers(1, 8)).map(lambda t: tuple(t[0]) + (8 * t[1],))
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                max_size=20)
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+FIELD_STRATEGIES = {
+    "data_root": _text.filter(lambda s: s == s.strip()),
+    "stage_channels": _stage_channels(),
+    "use_sfm": st.booleans(),
+    "use_msff": st.booleans(),
+    "pooling": st.sampled_from(POOLING_MODES),
+    "encoder_tap": st.sampled_from(TAP_CHOICES),
+    "prior_mask_mapping": st.booleans(),
+    "similarity": st.sampled_from(SIMILARITY_MODES),
+    "key_scaling": st.booleans(),
+    "key_from_gated": st.booleans(),
+    "use_current_value": st.booleans(),
+    "hard_prior": st.booleans(),
+    "memory_capacity": st.integers(0, 10_000),
+    "fc_reduction": st.integers(1, 64),
+    "learning_rate": st.floats(min_value=0.0, exclude_min=True, **_finite),
+    "momentum": st.floats(min_value=0.0, max_value=1.0, exclude_max=True, **_finite),
+    "steps": st.integers(0, 10**9),
+    "log_every": st.integers(1, 10**6),
+    "loss_window": st.integers(1, 10**6),
+    "teacher_forcing": st.booleans(),
+    "seed": st.integers(0, 2**63 - 1),
+}
+
+
+def test_every_field_has_a_strategy():
+    assert set(FIELD_STRATEGIES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(FIELD_STRATEGIES))
+def test_text_round_trip_over_every_field(values):
+    # the coarse tap needs 5 - encoder_tap stages
+    assume(len(values["stage_channels"]) >= 5 - values["encoder_tap"])
+    cfg = RunConfig(**values)
+    assert config_from_text(config_to_text(cfg)) == cfg
+
+
+def test_readme_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_text(example)
+    assert (cfg.use_sfm, cfg.pooling, cfg.steps) == (True, "both", 500)

@@ -99,7 +99,6 @@ def test_loaded_sequences_are_padded_with_record(tmp_path):
     make_tree(tmp_path, {"seq": 2}, size=(20, 26))
     seq = load_dataset(tmp_path, total_stride=8)[0]
     assert seq.frames[0].shape == (1, 24, 32)
-    assert seq.original_size == (20, 26)
     assert unpad(seq.frames[0].data, seq.padding).shape == (1, 20, 26)
     assert unpad(seq.masks[0].data, seq.padding).sum() == seq.masks[0].data.sum()
 

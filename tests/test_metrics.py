@@ -39,6 +39,9 @@ class TestSegmentationMetrics:
         gt[2:5, 3:6] = 1.0
         dice, iou, recall, mae = segmentation_metrics(gt, gt)
         assert (dice, iou, recall, mae) == (1.0, 1.0, 1.0, 0.0)
+        # perfect once binarized, but MAE is taken on the probability map
+        dice, _, _, mae = segmentation_metrics(np.full((4, 4), 0.8), np.ones((4, 4)))
+        assert dice == 1.0 and mae == pytest.approx(0.2)
 
     def test_disjoint_masks(self):
         pred = np.zeros((4, 4))
@@ -83,14 +86,6 @@ class TestSegmentationMetrics:
             gt = (rng.random((16, 16)) > 0.5).astype(np.float64)
             dice, iou, _, _ = segmentation_metrics(pred, gt)
             assert abs(dice - 2.0 * iou / (1.0 + iou)) < 1e-12
-
-    def test_mae_on_binarized_mode(self):
-        pred = np.full((4, 4), 0.8)
-        gt = np.ones((4, 4))
-        _, _, _, mae_prob = segmentation_metrics(pred, gt, mae_on_prob=True)
-        _, _, _, mae_bin = segmentation_metrics(pred, gt, mae_on_prob=False)
-        assert mae_prob == pytest.approx(0.2)
-        assert mae_bin == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

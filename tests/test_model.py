@@ -8,7 +8,7 @@ from lesionseg.backbone import EncoderConfig
 from lesionseg.errors import ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
 
-SMALL_ENC = EncoderConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8)
+SMALL_ENC = EncoderConfig(stage_channels=(4, 8))
 
 
 def small_config(**kw):

@@ -8,7 +8,7 @@ from lesionseg.backbone import Encoder, EncoderConfig, Initializer
 from lesionseg.errors import ShapeError, ValidationError
 from lesionseg.spatial import PriorState, apply_prior, spatial_read
 
-SMALL = EncoderConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8)
+SMALL = EncoderConfig(stage_channels=(4, 8))
 
 
 def test_ones_mask_is_identity():
@@ -38,8 +38,7 @@ def test_logit_mask_rejected():
 
 def test_prior_state_validates_mask_range():
     with pytest.raises(ValidationError):
-        PriorState(prev_frame=Tensor(np.zeros((1, 8, 8))),
-                   prev_mask=Tensor(np.full((1, 8, 8), -0.1)),
+        PriorState(prev_mask=Tensor(np.full((1, 8, 8), -0.1)),
                    prev_key=Tensor(np.zeros((1, 2, 2))))
 
 

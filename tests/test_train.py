@@ -17,8 +17,7 @@ from lesionseg.train import SGD, TrainResult, clip_loss, smoothed, train
 
 TINY = SynthConfig(resolution=16, frames=5, axes=(3.0, 2.0), max_speed=0.5,
                    distractors=0)
-SMALL = RunConfig(stage_channels=(4, 8), total_stride=4, feature_channels=8,
-                  steps=10, learning_rate=0.05)
+SMALL = RunConfig(stage_channels=(4, 8), steps=10, learning_rate=0.05)
 
 
 def tiny_sequences(n=2):
