@@ -28,6 +28,7 @@ from .errors import EvaluationError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
+    "recording",
     "add",
     "mul",
     "sub",
@@ -160,10 +161,16 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
+def recording(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on `inputs` would be recorded: a tape is active and
+    at least one input requires grad."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
             backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap op output; append a tape node when recording is live."""
-    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out = Tensor(out_data, requires_grad=True)
         _TAPE_STACK[-1].nodes.append(_Node(out, backward))
         return out

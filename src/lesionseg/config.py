@@ -60,6 +60,8 @@ class RunConfig:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.loss_window < 1 or self.log_every < 1:
             raise ValidationError("loss_window and log_every must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         self.model_config()   # surfaces model-side validation early
 
     @property
@@ -149,12 +151,14 @@ def _coerce_items(items) -> dict:
     return values
 
 
-def config_from_text(text: str) -> RunConfig:
+def config_from_text(text: str, source: str = "<string>") -> RunConfig:
+    """Parse config text; `source` names it in error messages."""
     parser = _ini()
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ValidationError(f"malformed config text: {exc}") from exc
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ValidationError(f"malformed config text: {message}") from exc
     sections = set(_SECTION.values())
     items, retired = [], {}
     for section in parser.sections():
@@ -177,7 +181,7 @@ def config_from_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return config_from_text(Path(path).read_text())
+    return config_from_text(Path(path).read_text(), source=str(path))
 
 
 def save_config(cfg: RunConfig, path) -> None:

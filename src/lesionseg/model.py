@@ -52,6 +52,8 @@ class ModelConfig:
                 f"similarity must be one of {SIMILARITY_MODES}, got {self.similarity!r}")
         if self.memory_capacity is not None and self.memory_capacity < 1:
             raise ValidationError("memory_capacity must be None or >= 1")
+        if self.fc_reduction < 1:
+            raise ValidationError(f"fc_reduction must be >= 1, got {self.fc_reduction}")
         if self.tap_stage_index < 0:
             raise ValidationError(
                 f"encoder_tap {self.encoder_tap} needs at least {5 - self.encoder_tap} "

@@ -96,10 +96,18 @@ def propagate(model: SegmentationModel, frames: list[Tensor], first_gt: Tensor,
     """Predict frames 2..N given the first frame's mask.
 
     Returns N-1 probability maps as numpy arrays, cropped back to the
-    original resolution when padding is given.
+    original resolution when padding is given. Every frame must be finite
+    and shaped like frame 0: one NaN pixel would reach every later
+    prediction through the memory.
     """
     if len(frames) < 2:
         raise ValidationError(f"propagation needs at least 2 frames, got {len(frames)}")
+    for t, frame in enumerate(frames):
+        if frame.shape != frames[0].shape:
+            raise ValidationError(
+                f"frame {t} has shape {frame.shape}, frame 0 has {frames[0].shape}")
+        if not np.isfinite(frame.data).all():
+            raise ValidationError(f"frame {t} has non-finite values")
     state = init(model, frames[0], first_gt)
     preds: list[np.ndarray] = []
     for frame in frames[1:]:

@@ -5,16 +5,39 @@ value map.  Reading flattens the query key to an (h*w, C/8) matrix, matches
 it against all memory positions with a scaled dot product, normalizes with a
 softmax over the whole memory axis, and mixes the value vectors.  Every
 output position is therefore a convex combination of memory value vectors.
+
+There are two ways to compute a read:
+
+* When nothing records it (no tape is active, or no input requires
+  grad; the rule of ``autodiff.recording``), a ``standard`` read without
+  ``return_attention`` runs in plain numpy, a chunk of whole memory
+  entries at a time, with an online softmax (Milakov & Gimelshein, arXiv
+  1805.02867; Rabe & Staats, arXiv 2112.05682). A chunk's score block
+  holds at most ``CHUNK_SCORES`` elements, and at least one entry, so
+  memory does not grow with the number of entries, and only one chunk's
+  keys and values are ever concatenated. Each chunk is normalized by the
+  running sum before it is mixed, so a read that fits in one chunk runs
+  the same float operations as the dense read and is bitwise equal to
+  it; a longer read agrees with it to rounding.
+* Every other read stays on the dense ``Tensor`` path over the whole
+  (h*w, T*h*w) score matrix: taped reads, whose backward needs the full
+  attention (in training the memory holds at most two entries);
+  ``paper-literal``, whose inner exponential needs the global row max;
+  and ``return_attention=True``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, exp, matmul, reshape, rowmax, softmax_rows, transpose
+from .autodiff import (Tensor, concat, exp, matmul, recording, reshape, rowmax, softmax_rows,
+                       transpose)
 from .errors import ShapeError, StateError
 
 SIMILARITY_MODES = ("standard", "paper-literal")
+# score elements per chunk of an untaped read (512 KiB of float64): one
+# entry per chunk at 16x16 positions, 16 entries at 8x8
+CHUNK_SCORES = 2 ** 16
 
 
 class MemoryBank:
@@ -67,8 +90,16 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     if similarity not in SIMILARITY_MODES:
         raise ValueError(f"similarity must be one of {SIMILARITY_MODES}, got {similarity!r}")
     ck, h, w = query_key.shape
+    if not keys or len(values) != len(keys):
+        raise ShapeError(f"attention over {len(keys)} memory keys and {len(values)} values")
     if any(k.shape != query_key.shape for k in keys):
         raise ShapeError("memory key dims do not match the query key")
+    cv = values[0].shape[0]
+    if any(v.shape != (cv, h, w) for v in values):
+        raise ShapeError("memory value dims do not match the query key")
+    if similarity == "standard" and not return_attention and not recording(
+            [query_key, *keys, *values]):
+        return _chunked_read(query_key, keys, values, key_scaling=key_scaling)
 
     query = transpose(_flatten_key(query_key))                      # (hw, C/8)
     memory_keys = concat([_flatten_key(k) for k in keys], axis=1)   # (C/8, T*hw)
@@ -81,11 +112,45 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
 
     memory_values = concat([_flatten_key(v) for v in values], axis=1)
     mixed = matmul(attention, transpose(memory_values))             # (hw, C/2)
-    cv = values[0].shape[0]
     out = reshape(transpose(mixed), (cv, h, w))
     if return_attention:
         return out, attention
     return out
+
+
+def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
+                  *, key_scaling: bool) -> Tensor:
+    """Untaped standard read with an online softmax over chunks of entries."""
+    ck, h, w = query_key.shape
+    cv, hw = values[0].shape[0], h * w
+    query = np.ascontiguousarray(query_key.data.reshape(ck, hw).T)     # (hw, C/8)
+    per_chunk = max(1, CHUNK_SCORES // (hw * hw))
+    mixed = row_max = row_sum = None
+    for start in range(0, len(keys), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        chunk_keys = np.concatenate([k.data.reshape(ck, hw) for k in keys[chunk]], axis=1)
+        chunk_values = np.ascontiguousarray(     # (n*hw, C/2)
+            np.concatenate([v.data.reshape(cv, hw) for v in values[chunk]], axis=1).T)
+        scores = query @ chunk_keys                                     # (hw, n*hw)
+        if key_scaling:
+            scores *= 1.0 / np.sqrt(ck)
+        new_max = scores.max(axis=1, keepdims=True)
+        if mixed is not None:
+            new_max = np.maximum(row_max, new_max)
+        scores -= new_max
+        np.exp(scores, out=scores)
+        if mixed is None:   # the dense read's exact operations
+            row_sum = scores.sum(axis=1, keepdims=True)
+            scores /= row_sum
+            mixed = scores @ chunk_values                               # (hw, C/2)
+        else:
+            carried = row_sum * np.exp(row_max - new_max)
+            row_sum = carried + scores.sum(axis=1, keepdims=True)
+            scores /= row_sum
+            mixed *= carried / row_sum
+            mixed += scores @ chunk_values
+        row_max = new_max
+    return Tensor(np.ascontiguousarray(mixed.T).reshape(cv, h, w))
 
 
 def memory_read(bank: MemoryBank, query_key: Tensor, *, key_scaling: bool = True,

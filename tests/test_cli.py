@@ -173,6 +173,33 @@ def test_malformed_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_config_error_names_the_file_on_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("steps = 5\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert err.count("\n") == 1
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+               "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed" in err
+
+
+def test_fc_reduction_zero_in_config_file_exits_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nfc_reduction = 0\n")
+    rc = main(["train", "--config", str(ini), "--data", str(tmp_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "fc_reduction" in err
+
+
 def test_train_without_data_exits_2(capsys):
     assert main(["train", "--out", "/tmp/nowhere"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -268,6 +268,32 @@ def test_malformed_text_is_a_validation_error(text):
         config_from_text(text)
 
 
+def test_malformed_file_error_names_the_file_on_one_line(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("steps = 5\n")
+    with pytest.raises(ValidationError, match="malformed") as info:
+        load_config(bad)
+    assert str(bad) in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed"):
+        RunConfig(seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        config_from_text("[run]\nseed = -1\n")
+
+
+@pytest.mark.parametrize("reduction", [0, -2])
+def test_fc_reduction_below_one_rejected(reduction, tmp_path):
+    with pytest.raises(ValidationError, match="fc_reduction"):
+        RunConfig(fc_reduction=reduction)
+    path = tmp_path / "run.ini"
+    path.write_text(f"[model]\nfc_reduction = {reduction}\n")
+    with pytest.raises(ValidationError, match="fc_reduction"):
+        load_config(path)
+
+
 def _stage_channels():
     inner = st.lists(st.integers(1, 64), max_size=3)
     return st.tuples(inner, st.integers(1, 8)).map(lambda t: tuple(t[0]) + (8 * t[1],))

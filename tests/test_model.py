@@ -28,6 +28,13 @@ def test_config_validation():
         small_config(encoder_tap=2)   # third-last stage needs 3 stages
 
 
+@pytest.mark.parametrize("reduction", [0, -1])
+def test_fc_reduction_below_one_rejected(reduction):
+    # 0 used to divide by zero in FcHead and a negative value gave hidden=1
+    with pytest.raises(ValidationError, match="fc_reduction"):
+        ModelConfig(fc_reduction=reduction)
+
+
 def test_tap_stage_index():
     assert ModelConfig(encoder_tap=4).tap_stage_index == 2
     assert ModelConfig(encoder_tap=3).tap_stage_index == 1

@@ -144,3 +144,31 @@ def test_ablated_models_still_propagate():
         model = small_model(**kw)
         preds = propagate(model, seq.frames, seq.masks[0])
         assert len(preds) == 2 and np.isfinite(preds[0]).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagate_rejects_non_finite_frames_by_index(bad):
+    model = small_model()
+    seq = small_seq()
+    frames = list(seq.frames)
+    data = frames[2].data.copy()
+    data[0, 3, 4] = bad
+    frames[2] = Tensor(data)
+    with pytest.raises(ValidationError, match="frame 2 "):
+        propagate(model, frames, seq.masks[0])
+
+
+def test_propagate_rejects_a_non_finite_first_frame():
+    model = small_model()
+    seq = small_seq()
+    frames = [Tensor(np.full(seq.frames[0].shape, np.nan))] + list(seq.frames[1:])
+    with pytest.raises(ValidationError, match="frame 0 "):
+        propagate(model, frames, seq.masks[0])
+
+
+def test_propagate_rejects_frames_shaped_unlike_frame_0():
+    model = small_model()
+    seq = small_seq()
+    frames = list(seq.frames[:3]) + [Tensor(np.zeros((1, 8, 8)))]
+    with pytest.raises(ValidationError, match=r"frame 3 has shape \(1, 8, 8\)"):
+        propagate(model, frames, seq.masks[0])

@@ -1,11 +1,16 @@
 """Memory bank behavior and attention-read invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lesionseg.autodiff import Tensor, grad_check, tsum
+from lesionseg import temporal
+from lesionseg.autodiff import Tape, Tensor, grad_check, tsum
 from lesionseg.errors import ShapeError, StateError
-from lesionseg.temporal import MemoryBank, attention_read, memory_read
+from lesionseg.temporal import CHUNK_SCORES, MemoryBank, attention_read, memory_read
 
 
 def bank_of(rng, t, ck=2, cv=4, hw=3, capacity=None):
@@ -138,7 +143,146 @@ def test_memory_read_gradients():
         assert grad_check(f, Tensor(x0, requires_grad=True)) < 1e-4
 
 
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("t,value_shapes", [(0, []), (2, [(4, 3, 3)]),
+                                            (2, [(4, 3, 3), (5, 3, 3)]),
+                                            (1, [(4, 3, 2)])])
+def test_mismatched_memory_rejected_on_both_paths(t, value_shapes, taped):
+    query = Tensor(np.zeros((2, 3, 3)), requires_grad=taped)
+    keys = [Tensor(np.zeros((2, 3, 3))) for _ in range(t)]
+    values = [Tensor(np.zeros(shape)) for shape in value_shapes]
+    with Tape(), pytest.raises(ShapeError):
+        attention_read(query, keys, values)
+
+
 def test_query_channel_mismatch_rejected():
     bank = bank_of(np.random.default_rng(6), 1, ck=2)
     with pytest.raises(ShapeError):
         memory_read(bank, Tensor(np.zeros((3, 3, 3))))
+
+
+# -- the chunked untaped read ------------------------------------------------
+
+
+def random_read(rng, t, h, w, ck=8, cv=32, magnitude=1.0):
+    keys = [Tensor(magnitude * rng.standard_normal((ck, h, w))) for _ in range(t)]
+    values = [Tensor(rng.standard_normal((cv, h, w))) for _ in range(t)]
+    query = Tensor(magnitude * rng.standard_normal((ck, h, w)))
+    return query, keys, values
+
+
+def dense_read(query, keys, values, **kwargs):
+    """The taped read, which always takes the dense Tensor path."""
+    with Tape():
+        return attention_read(Tensor(query.data, requires_grad=True), keys, values,
+                              **kwargs).data
+
+
+def entries_per_chunk(h, w):
+    return max(1, CHUNK_SCORES // (h * w) ** 2)
+
+
+@pytest.mark.parametrize("key_scaling", [True, False])
+@pytest.mark.parametrize("t,h,w", [(1, 16, 16), (15, 8, 8), (16, 8, 8), (5, 4, 4),
+                                   (7, 3, 5), (1, 20, 20)])
+def test_one_chunk_read_is_bitwise_dense(t, h, w, key_scaling):
+    assert t <= entries_per_chunk(h, w)
+    query, keys, values = random_read(np.random.default_rng(10), t, h, w)
+    out = attention_read(query, keys, values, key_scaling=key_scaling)
+    assert not out.requires_grad
+    assert out.data.tobytes() == dense_read(query, keys, values,
+                                            key_scaling=key_scaling).tobytes()
+
+
+def assert_close_to_dense(query, keys, values, key_scaling):
+    out = attention_read(query, keys, values, key_scaling=key_scaling).data
+    dense = dense_read(query, keys, values, key_scaling=key_scaling)
+    if len(keys) <= entries_per_chunk(*query.shape[1:]):
+        assert out.tobytes() == dense.tobytes()
+    # every output is a convex combination of value vectors, so the largest
+    # value magnitude is the scale of the rounding error
+    scale = max(np.abs(v.data).max() for v in values)
+    assert np.abs(out - dense).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 40), h=st.integers(1, 20), w=st.integers(1, 20),
+       key_scaling=st.booleans(), magnitude=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_chunked_read_matches_dense(t, h, w, key_scaling, magnitude, seed):
+    query, keys, values = random_read(np.random.default_rng(seed), t, h, w, ck=2, cv=4,
+                                      magnitude=magnitude)
+    assert_close_to_dense(query, keys, values, key_scaling)
+
+
+@pytest.mark.parametrize("key_scaling", [True, False])
+def test_chunked_read_rescales_when_a_later_chunk_holds_the_row_max(key_scaling):
+    # positive query and keys, key t scaled by t + 1: every chunk raises the
+    # running row max, so every chunk after the first rescales the sums
+    rng = np.random.default_rng(11)
+    base = rng.uniform(0.0, 0.3, (8, 16, 16))
+    keys = [Tensor((t + 1) * base) for t in range(6)]
+    values = [Tensor(rng.standard_normal((32, 16, 16))) for _ in range(6)]
+    query = Tensor(rng.uniform(0.0, 1.0, (8, 16, 16)))
+    assert entries_per_chunk(16, 16) == 1
+    assert_close_to_dense(query, keys, values, key_scaling)
+
+
+def read_peak_bytes(t):
+    query, keys, values = random_read(np.random.default_rng(12), t, 16, 16)
+    tracemalloc.start()
+    try:
+        attention_read(query, keys, values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_untaped_read_memory_does_not_grow_with_the_bank():
+    # the dense read would hold a (256, t * 256) score matrix: 4 MB at t = 8
+    # and 32 MB at t = 64, several times over
+    assert read_peak_bytes(64) <= read_peak_bytes(8) + 256 * 1024
+
+
+@pytest.fixture
+def softmax_calls(monkeypatch):
+    calls = []
+    original = temporal.softmax_rows
+
+    def counted(s):
+        calls.append(s.shape)
+        return original(s)
+
+    monkeypatch.setattr(temporal, "softmax_rows", counted)
+    return calls
+
+
+def test_taped_read_with_grad_inputs_is_still_recorded(softmax_calls):
+    query, keys, values = random_read(np.random.default_rng(13), 3, 16, 16)
+    query = Tensor(query.data, requires_grad=True)
+    with Tape() as tape:
+        out = attention_read(query, keys, values)
+    assert out.requires_grad and tape.nodes and softmax_calls
+    tape.backward(out, seed=np.ones(out.shape))
+    assert query.grad is not None and np.abs(query.grad).max() > 0.0
+
+
+def test_tape_without_grad_inputs_takes_the_chunked_path(softmax_calls):
+    query, keys, values = random_read(np.random.default_rng(14), 3, 16, 16)
+    with Tape() as tape:
+        out = attention_read(query, keys, values)
+    assert not out.requires_grad and not tape.nodes and not softmax_calls
+
+
+@pytest.mark.parametrize("kwargs", [dict(return_attention=True),
+                                    dict(similarity="paper-literal")])
+def test_attention_and_paper_literal_reads_stay_dense(kwargs, softmax_calls):
+    query, keys, values = random_read(np.random.default_rng(15), 3, 16, 16)
+    out = attention_read(query, keys, values, **kwargs)
+    if kwargs.get("return_attention"):
+        out, attention = out
+        assert attention.shape == (256, 3 * 256)
+    assert softmax_calls == [(256, 3 * 256)]
+    similarity = kwargs.get("similarity", "standard")
+    assert out.data.tobytes() == dense_read(query, keys, values,
+                                            similarity=similarity).tobytes()
