@@ -439,19 +439,26 @@ def softmax_rows(s: Tensor) -> Tensor:
 # spatial ops on (C, H, W) maps
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(C, Hp, Wp) -> (C*kh*kw, Hout*Wout) column matrix."""
-    c = xp.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]          # (C, Hout, Wout, kh, kw)
-    hout, wout = windows.shape[1], windows.shape[2]
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, hout * wout)
-    return np.ascontiguousarray(cols)
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int,
+             wout: int) -> np.ndarray:
+    """(C, kh, kw, Hout, Wout) view of the C-contiguous map `xp`, whose
+    element [c, i, j, y, x] is xp[c, i + stride*y, j + stride*x].
+
+    Reshaped, it is the im2col column matrix; written through, it scatters
+    columns back onto the map.
+    """
+    sc, sh, sw = xp.strides
+    return np.ndarray((xp.shape[0], kh, kw, hout, wout), dtype=xp.dtype, buffer=xp,
+                      strides=(sc, sh, sw, sh * stride, sw * stride))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels."""
+    """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels.
+
+    Lowered to im2col + one GEMM: the columns are a copy of one strided
+    window view over the zero-padded input.
+    """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {weight.shape}")
     cin, h, w = x.shape
@@ -469,10 +476,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     hout = (hp - kh) // stride + 1
     wout = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride)
+    if padding:
+        xp = np.zeros((cin, hp, wp))
+        xp[:, padding:padding + h, padding:padding + w] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    # reshape copies unless the windows happen to tile xp; a strided view
+    # must still become C-contiguous, or the GEMM may sum in another order
+    cols = np.ascontiguousarray(
+        _windows(xp, kh, kw, stride, hout, wout).reshape(cin * kh * kw, hout * wout))
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = (wmat @ cols + bias.data[:, None]).reshape(cout, hout, wout)
+    out = wmat @ cols
+    out += bias.data[:, None]
+    out = out.reshape(cout, hout, wout)
 
     def backward(g: np.ndarray) -> None:
         gflat = g.reshape(cout, hout * wout)
@@ -483,9 +499,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if x.requires_grad:
             dcols = (wmat.T @ gflat).reshape(cin, kh, kw, hout, wout)
             dxp = np.zeros((cin, hp, wp))
+            windows = _windows(dxp, kh, kw, stride, hout, wout)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcols[:, i, j]
+                    windows[:, i, j] += dcols[:, i, j]
             if padding:
                 dxp = dxp[:, padding:padding + h, padding:padding + w]
             x.accumulate_grad(dxp)

@@ -51,12 +51,16 @@ def segmentation_metrics(pred_prob: np.ndarray, gt: np.ndarray,
     ``threshold``; MAE is the mean absolute per-pixel error against the
     continuous map.  Empty-set conventions: both masks empty -> dice = iou =
     recall = 1; GT empty but prediction not -> recall = 1, dice = iou = 0.
+    A prediction that is not finite or leaves [0, 1] is rejected: it would
+    score as an empty mask, or give an MAE above 1.
     """
     pred_prob = np.asarray(pred_prob, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred_prob.shape != gt.shape:
         raise ShapeError(f"pred/gt shape mismatch: {pred_prob.shape} vs {gt.shape}")
     _check_binary(gt)
+    if not ((pred_prob >= 0.0) & (pred_prob <= 1.0)).all():   # NaN fails both
+        raise ValidationError("prediction must hold finite probabilities in [0, 1]")
 
     sr = pred_prob >= threshold
     gtb = gt >= 0.5

@@ -1,9 +1,12 @@
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from lesionseg import backbone
 from lesionseg.autodiff import (
     Tape,
     Tensor,
@@ -24,8 +27,12 @@ from lesionseg.autodiff import (
     transpose,
     tsum,
     upsample2x,
+    _record,
 )
+from lesionseg.config import RunConfig
 from lesionseg.errors import EvaluationError, ShapeError
+from lesionseg.synth import SynthConfig, synth_generate
+from lesionseg.train import train
 
 
 def rand(rng, *shape):
@@ -118,6 +125,91 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="larger than padded"):
             conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
                    Tensor(np.zeros(1)))
+
+
+def reference_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+                     padding: int = 0) -> Tensor:
+    """The earlier conv2d: np.pad, then sliding_window_view, then a 5-d
+    transpose into the column matrix. The parity oracle for conv2d."""
+    cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hout = (hp - kh) // stride + 1
+    wout = (wp - kw) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(
+        windows.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, hout * wout))
+    wmat = weight.data.reshape(cout, cin * kh * kw)
+    out = (wmat @ cols + bias.data[:, None]).reshape(cout, hout, wout)
+
+    def backward(g: np.ndarray) -> None:
+        gflat = g.reshape(cout, hout * wout)
+        if bias.requires_grad:
+            bias.accumulate_grad(gflat.sum(axis=1))
+        if weight.requires_grad:
+            weight.accumulate_grad((gflat @ cols.T).reshape(weight.shape))
+        if x.requires_grad:
+            dcols = (wmat.T @ gflat).reshape(cin, kh, kw, hout, wout)
+            dxp = np.zeros((cin, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcols[:, i, j]
+            if padding:
+                dxp = dxp[:, padding:padding + h, padding:padding + w]
+            x.accumulate_grad(dxp)
+
+    return _record((x, weight, bias), out, backward)
+
+
+def conv_and_grads(conv, x, w, b, stride, padding, upstream):
+    """Forward output and the x, weight and bias grads for one upstream grad."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with Tape() as tape:
+        out = conv(xt, wt, bt, stride=stride, padding=padding)
+    tape.backward(out, seed=upstream)
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(c=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
+       cout=st.integers(1, 4), k=st.sampled_from((1, 2, 3, 5)),
+       stride=st.sampled_from((1, 2, 3)), padding=st.sampled_from((0, 1, 2)),
+       transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the first two leave a remainder: (H + 2p - k) % stride != 0
+@example(c=2, h=10, w=7, cout=3, k=3, stride=2, padding=1, transposed=False, seed=0)
+@example(c=3, h=9, w=11, cout=2, k=2, stride=3, padding=0, transposed=True, seed=1)
+@example(c=1, h=1, w=1, cout=1, k=5, stride=3, padding=2, transposed=True, seed=2)
+def test_conv2d_is_bitwise_equal_to_the_reference(c, h, w, cout, k, stride, padding,
+                                                  transposed, seed):
+    assume(k <= h + 2 * padding and k <= w + 2 * padding)
+    rng = np.random.default_rng(seed)
+    # a transposed view is a (C, H, W) map that is not C-contiguous
+    x = (rng.standard_normal((c, w, h)).transpose(0, 2, 1) if transposed
+         else rng.standard_normal((c, h, w)))
+    weight = rng.standard_normal((cout, c, k, k))
+    bias = rng.standard_normal(cout)
+    upstream = rng.standard_normal((cout, (h + 2 * padding - k) // stride + 1,
+                                    (w + 2 * padding - k) // stride + 1))
+    got = conv_and_grads(conv2d, x, weight, bias, stride, padding, upstream)
+    want = conv_and_grads(reference_conv2d, x, weight, bias, stride, padding, upstream)
+    for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), got, want):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_training_is_bitwise_equal_with_the_reference_conv(monkeypatch):
+    synth = SynthConfig(resolution=32, frames=4, axes=(6.0, 4.0), distractors=0)
+    seqs = [dataclasses.replace(synth_generate(synth, s), name=f"seq{s}") for s in range(2)]
+    cfg = RunConfig(steps=3)
+    got = train(cfg, seqs)
+    monkeypatch.setattr(backbone, "conv2d", reference_conv2d)
+    want = train(cfg, seqs)
+    assert got.losses == want.losses
+    want_params = want.model.parameters()
+    for name, p in got.model.parameters().items():
+        assert p.data.tobytes() == want_params[name].data.tobytes(), name
 
 
 class TestPool2d:

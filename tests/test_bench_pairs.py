@@ -1,0 +1,84 @@
+"""The paired-benchmark summary of tools/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPECS = [
+    {"name": "throughput", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+]
+
+
+def result(correct=True, **values):
+    names = {"p50": "latency_ms.p50"}
+    return {"correct": correct,
+            "metrics": {names.get(k, k): {"value": v} for k, v in values.items()}}
+
+
+def pairs_of(parent, change, metric="throughput"):
+    return [{"parent": result(**{metric: p}), "change": result(**{metric: c})}
+            for p, c in zip(parent, change)]
+
+
+def test_quartiles_wins_and_ratio():
+    parent = [10.0, 12.0, 11.0, 13.0, 9.0]
+    change = [13.0, 15.0, 10.5, 16.0, 12.0]
+    m = bench_pairs.summarize(pairs_of(parent, change), SPECS)["metrics"]["throughput"]
+    # inclusive quartiles of 9..13 are 10, 11, 12
+    assert m["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0, "runs": parent}
+    assert m["change"]["median"] == 13.0
+    assert m["change_better_in_pairs"] == "4/5"
+    assert m["change_over_parent_median"] == pytest.approx(13.0 / 11.0, abs=1e-4)
+    assert m["parent_iqr"] == 2.0
+    assert not m["gain_shown"]          # 4 of 5 is under 9 of 10
+    assert (m["unit"], m["better"], m["bound"]) == ("1/s", "higher", 0.25)
+
+
+def test_lower_is_better_metrics_count_drops_as_wins():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 103.0, 97.0, 100.0]
+    change = [v - 20.0 for v in parent]
+    m = bench_pairs.summarize(pairs_of(parent, change, "p50"), SPECS)["metrics"]
+    p50 = m["latency_ms.p50"]
+    assert p50["change_better_in_pairs"] == "10/10"
+    assert p50["gain_shown"]
+    assert "throughput" not in m         # reported by no run
+
+
+def test_a_gain_inside_the_parent_spread_is_not_shown():
+    parent = [10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0]
+    change = [v + 0.5 for v in parent]
+    m = bench_pairs.summarize(pairs_of(parent, change), SPECS)["metrics"]["throughput"]
+    assert m["change_better_in_pairs"] == "10/10"
+    assert m["parent_iqr"] == 4.0
+    assert not m["gain_shown"]
+
+
+def test_failed_runs_are_counted_and_their_missing_metrics_skipped():
+    pairs = pairs_of([10.0, 11.0, 12.0], [11.0, 12.0, 13.0])
+    pairs.append({"parent": result(throughput=9.0),
+                  "change": {"correct": False, "metrics": {}}})
+    pairs[0]["parent"]["correct"] = False
+    summary = bench_pairs.summarize(pairs, SPECS)
+    assert summary["pairs"] == 4
+    assert summary["runs_not_correct"] == 2
+    assert summary["metrics"]["throughput"]["change_better_in_pairs"] == "3/3"
+
+
+def test_ties_are_not_wins():
+    m = bench_pairs.summarize(pairs_of([1.0, 2.0], [1.0, 3.0], "peak_rss_mb"),
+                              SPECS)["metrics"]["peak_rss_mb"]
+    assert m["change_better_in_pairs"] == "0/2"
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("101-104") == [101, 102, 103, 104]
+    assert bench_pairs.parse_seeds("3,5,7") == [3, 5, 7]
+    assert bench_pairs.parse_seeds("1-3,9") == [1, 2, 3, 9]

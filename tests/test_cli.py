@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lesionseg
@@ -210,6 +211,18 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+
+
+def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    blob = ckpt / "params.bin"
+    blob.write_bytes(np.full(blob.stat().st_size // 4, np.nan, dtype="<f4").tobytes())
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
+               "--split", "val"])
+    assert rc == 2
+    assert "finite probabilities" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.tsv").exists()
 
 
 def test_unknown_sequence_exits_2(pipeline, tmp_path, capsys):

@@ -95,6 +95,23 @@ class TestSegmentationMetrics:
         with pytest.raises(ValidationError):
             segmentation_metrics(np.zeros((2, 2)), np.full((2, 2), 0.3))
 
+    def test_non_finite_prediction_rejected(self):
+        # an all-NaN map binarizes to an empty mask: against an empty GT it
+        # would score dice = iou = recall = 1 with a NaN MAE
+        with pytest.raises(ValidationError, match=r"finite probabilities in \[0, 1\]"):
+            segmentation_metrics(np.full((4, 4), np.nan), np.zeros((4, 4)))
+        pred = np.zeros((4, 4))
+        pred[1, 2] = np.inf
+        with pytest.raises(ValidationError):
+            segmentation_metrics(pred, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [7.0, 1.0 + 1e-12, -1e-300])
+    def test_prediction_outside_unit_interval_rejected(self, value):
+        pred = np.full((4, 4), 0.5)
+        pred[0, 0] = value
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            segmentation_metrics(pred, np.ones((4, 4)))
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
     def test_permutation_invariance(self, seed):

@@ -42,6 +42,25 @@ def test_eviction_keeps_first_frame():
     assert (bank.keys[1].data == 2.0).all()   # newest survives, middle evicted
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(capacity=st.one_of(st.none(), st.integers(1, 8)), appends=st.integers(1, 30))
+def test_bank_keeps_the_first_entry_and_the_most_recent(capacity, appends):
+    bank = MemoryBank(capacity=capacity)
+    entries = []
+    for k in range(1, appends + 1):
+        entry = (Tensor(np.full((1, 2, 2), float(k))), Tensor(np.full((2, 2, 2), -float(k))))
+        entries.append(entry)
+        bank.append(*entry)
+        if capacity is None or k <= capacity:
+            survivors = entries
+        else:
+            survivors = entries[:1] + entries[k - (capacity - 1):]
+        assert capacity is None or len(bank) <= capacity
+        assert bank.keys[0] is entries[0][0] and bank.values[0] is entries[0][1]
+        assert [(id(key), id(value)) for key, value in zip(bank.keys, bank.values)] == \
+            [(id(key), id(value)) for key, value in survivors]
+
+
 def test_empty_bank_read_rejected():
     with pytest.raises(StateError):
         memory_read(MemoryBank(), Tensor(np.zeros((2, 3, 3))))

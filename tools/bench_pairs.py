@@ -1,0 +1,162 @@
+"""Run alternating benchmark pairs on a parent and a change checkout.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --workload eval64 \
+        --seeds 101-110 --out BENCH_label.json [--trace-seed 131]
+
+For each seed it runs ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each checkout, with T the
+``run_seconds`` of the change's BENCHMARK.json, one run at a time, with the
+parent first on even pairs and the change first on odd pairs, so a drift
+in host speed lands on both sides. With ``--trace-seed`` it adds one
+``--trace 1`` run per side and keeps its per-unit layer metrics.
+
+The summary goes into ``--out`` under ``workloads.<W>`` (and
+``traced.<W>``); entries for other workloads already in the file are
+kept, so each workload can be run separately, and a later call for
+the same workload replaces its entry. Per end-to-end metric it
+holds both sides' runs, median and quartiles (inclusive method), the
+number of pairs the change wins in the metric's direction, the ratio of
+the medians and the parent's quartile spread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'101-110' or '3,5,7' (or a mix, '1-3,9') -> the seeds in order."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run; its JSON result line, with ``correct`` false on a bad exit."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    result["correct"] = bool(result.get("correct")) and proc.returncode == 0
+    return result
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "runs": [round(v, 4) for v in values]}
+
+
+def summarize(pairs: list[dict], specs: list[dict]) -> dict:
+    """Summary of paired runs.
+
+    `pairs` holds one ``{"parent": result, "change": result}`` per seed,
+    each result a run's JSON line; `specs` are the ``end_to_end`` entries
+    of BENCHMARK.json (name, unit, better, bound). A metric is summarized
+    over the pairs in which both runs report it.
+    """
+    out = {"pairs": len(pairs),
+           "runs_not_correct": sum(not p[s]["correct"] for p in pairs for s in SIDES),
+           "metrics": {}}
+    for spec in specs:
+        name = spec["name"]
+        both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+                for p in pairs
+                if all(name in p[s].get("metrics", {}) for s in SIDES)]
+        if not both:
+            continue
+        parent, change = ([b[i] for b in both] for i in (0, 1))
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in both)
+        p_sum, c_sum = _quartiles(parent), _quartiles(change)
+        iqr = p_sum["q3"] - p_sum["q1"]
+        gap = sign * (c_sum["median"] - p_sum["median"])
+        out["metrics"][name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent": p_sum, "change": c_sum,
+            "change_better_in_pairs": f"{wins}/{len(both)}",
+            "change_over_parent_median": round(c_sum["median"] / p_sum["median"], 4),
+            "parent_iqr": round(iqr, 4),
+            # the change wins 9 of 10 pairs and its median beats the
+            # parent's by more than the parent's quartile spread
+            "gain_shown": wins >= 0.9 * len(both) and gap > iqr,
+        }
+    return out
+
+
+def _rounded(metric: dict | None) -> float | None:
+    return None if metric is None else round(metric["value"], 3)
+
+
+def _environment(checkout: Path, workload: str) -> dict:
+    path = checkout / ".perfbench" / workload / "environment.json"
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    specs, seconds = bench["end_to_end"], bench["run_seconds"]
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {side: run_once(checkouts[side], args.workload, seed, seconds, 0)
+                for side in order}
+        pairs.append(pair)
+        print(f"{args.workload} seed {seed}: " + "  ".join(
+            f"{side} throughput {_rounded(pair[side]['metrics'].get('throughput'))}"
+            for side in SIDES), flush=True)
+
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    envs = {side: _environment(checkouts[side], args.workload) for side in SIDES}
+    doc["parent_commit"] = envs["parent"].get("git_commit", "unknown")
+    doc["src_sha256"] = {side: envs[side].get("src_sha256") for side in SIDES}
+    doc["host"] = {k: envs["change"].get(k) for k in
+                   ("nproc", "machine", "python", "numpy", "blas", "blas_threads_pinned")}
+    doc["method"] = (
+        f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0 "
+        "in a checkout of the parent and of the change, one pair per seed, alternating "
+        "which side runs first (even pairs parent first); median and quartiles (inclusive "
+        "method) over each side's runs; change_better_in_pairs counts pairs where the "
+        "change's value is better in the metric's direction; parent_iqr is q3 - q1 of the "
+        "parent's runs; written by tools/bench_pairs.py")
+    doc.setdefault("workloads", {})[args.workload] = {"seeds": args.seeds, **summarize(pairs, specs)}
+    if args.trace_seed is not None:
+        traced = {side: run_once(checkouts[side], args.workload, args.trace_seed,
+                                 seconds, 1) for side in SIDES}
+        doc.setdefault("traced", {})[args.workload] = {
+            "seed": args.trace_seed,
+            "correct": {side: traced[side]["correct"] for side in SIDES},
+            "per_unit": {name: {"unit": m["unit"],
+                                **{side: _rounded(traced[side]["metrics"].get(name))
+                                   for side in SIDES}}
+                         for name, m in traced["change"]["metrics"].items()},
+        }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
