@@ -14,42 +14,18 @@ frames carry zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tensor, concat, conv2d, relu, sigmoid, upsample2x
 from .errors import ShapeError, ValidationError
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 
 IN_CHANNELS = 1   # grayscale frames; the encoder adds one mask channel
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    stage_channels: tuple[int, ...] = (16, 32, 64)
-
-    def __post_init__(self):
-        if not self.stage_channels:
-            raise ValidationError("stage_channels must name at least one stage")
-        if self.feature_channels % 8 != 0:
-            raise ValidationError(
-                f"the last stage width {self.feature_channels} must be divisible by 8")
-
-    @property
-    def total_stride(self) -> int:
-        return 2 ** len(self.stage_channels)   # each stage halves the resolution
-
-    @property
-    def feature_channels(self) -> int:
-        return self.stage_channels[-1]
-
-    @property
-    def key_channels(self) -> int:
-        return self.feature_channels // 8
-
-    @property
-    def value_channels(self) -> int:
-        return self.feature_channels // 2
 
 
 @dataclass
@@ -129,7 +105,7 @@ class _Stage:
 class Encoder:
     """Configurable strided-conv encoder with key/value projection heads."""
 
-    def __init__(self, config: EncoderConfig, init: Initializer):
+    def __init__(self, config: ModelConfig, init: Initializer):
         self.config = config
         channels = [IN_CHANNELS + 1] + list(config.stage_channels)  # +1 mask channel
         self.stages = [_Stage(init, channels[i], channels[i + 1])
@@ -178,7 +154,7 @@ class Encoder:
 class Decoder:
     """Upsample-concat-conv blocks from the fused feature back to image size."""
 
-    def __init__(self, config: EncoderConfig, init: Initializer,
+    def __init__(self, config: ModelConfig, init: Initializer,
                  in_channels: int | None = None):
         self.config = config
         widths = list(config.stage_channels)

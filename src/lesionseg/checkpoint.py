@@ -81,16 +81,24 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
         if not (path / required).is_file():
             raise FileNotFoundError(f"checkpoint {path} is missing {required}")
     run_config = load_config(path / CONFIG)
-    model = SegmentationModel(run_config.model_config(), seed=run_config.seed)
+    model = SegmentationModel(run_config, seed=run_config.seed)
     blob = (path / BLOB).read_bytes()
     arrays = {}
+    end = 0   # the tensors must tile the blob: no gap, overlap or trailing bytes
     for name, shape, offset in _parse_manifest((path / MANIFEST).read_text()):
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
+        if offset != end:
+            raise ValidationError(
+                f"checkpoint manifest puts tensor {name} at byte {offset}, expected {end}")
+        end = offset + 4 * (int(np.prod(shape)) if shape else 1)
         if end > len(blob):
             raise ValidationError(f"checkpoint blob truncated for tensor {name}")
         flat = np.frombuffer(blob[offset:end], dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise ValidationError(f"checkpoint parameter {name} holds non-finite values")
         arrays[name] = flat.astype(np.float64).reshape(shape)
+    if end != len(blob):
+        raise ValidationError(
+            f"checkpoint blob has {len(blob) - end} bytes after its last tensor")
     model.load_parameter_data(arrays)
     state = json.loads((path / STATE).read_text())
     return model, run_config, int(state.get("step", 0)), state.get("rng")

@@ -20,9 +20,12 @@ from .config import RunConfig, apply_overrides, load_config, save_config
 from .data import load_dataset
 from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, evaluate
+from .fusion import POOLING_MODES
+from .model import TAP_CHOICES
 from .netpbm import write_mask
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
+from .temporal import SIMILARITY_MODES
 from .train import smoothed, train
 from .verify import run_all
 
@@ -34,11 +37,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=None, help="SGD updates to run")
     parser.add_argument("--lr", dest="learning_rate", type=float, default=None)
     parser.add_argument("--momentum", type=float, default=None)
-    parser.add_argument("--pooling", choices=("max", "avg", "both"), default=None)
+    parser.add_argument("--pooling", choices=POOLING_MODES, default=None)
     parser.add_argument("--encoder-tap", dest="encoder_tap", type=int,
-                        choices=(2, 3, 4), default=None)
-    parser.add_argument("--similarity", choices=("standard", "paper-literal"),
-                        default=None)
+                        choices=TAP_CHOICES, default=None)
+    parser.add_argument("--similarity", choices=SIMILARITY_MODES, default=None)
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int,
                         default=None, help="max remembered frames (0 = unlimited)")
     for flag, dest, meaning in (

@@ -1,9 +1,9 @@
-"""Run configuration: one flat dataclass, serialized as sectioned
-`key = value` text (configparser syntax).
+"""Run configuration: `ModelConfig` plus the run settings, serialized as
+sectioned `key = value` text (configparser syntax).
 
-The dataclass is the whole schema: each field names its ini section in
-its metadata, its parser follows from its annotation, and the model
-settings are the fields it shares with `ModelConfig`.
+The dataclass is the whole schema: the fields `RunConfig` inherits from
+`ModelConfig` are the `[model]` keys, each of its own fields names its ini
+section in its metadata, and each parser follows from its annotation.
 
 Precedence is file < explicit overrides (CLI flags), and every command
 echoes the effective config into its output directory so a run can be
@@ -19,7 +19,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backbone import EncoderConfig
 from .errors import ValidationError
 from .model import ModelConfig
 
@@ -30,21 +29,8 @@ def _in(section: str, default):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ModelConfig):
     data_root: str = _in("data", "")
-    stage_channels: tuple[int, ...] = _in("model", (16, 32, 64))
-    use_sfm: bool = _in("model", True)
-    use_msff: bool = _in("model", True)
-    pooling: str = _in("model", "both")
-    encoder_tap: int = _in("model", 4)
-    prior_mask_mapping: bool = _in("model", True)
-    similarity: str = _in("model", "standard")
-    key_scaling: bool = _in("model", True)
-    key_from_gated: bool = _in("model", False)
-    use_current_value: bool = _in("model", False)
-    hard_prior: bool = _in("model", False)
-    memory_capacity: int = _in("model", 0)        # 0 means unlimited
-    fc_reduction: int = _in("model", 4)
     learning_rate: float = _in("train", 1e-2)
     momentum: float = _in("train", 0.0)
     steps: int = _in("train", 200)
@@ -62,28 +48,12 @@ class RunConfig:
             raise ValidationError("loss_window and log_every must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        self.model_config()   # surfaces model-side validation early
-
-    @property
-    def total_stride(self) -> int:
-        return self.encoder_config().total_stride
-
-    @property
-    def feature_channels(self) -> int:
-        return self.encoder_config().feature_channels
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(stage_channels=tuple(self.stage_channels))
-
-    def model_config(self) -> ModelConfig:
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)
-                  if f.name in _SECTION}
-        shared.update(encoder=self.encoder_config(),
-                      memory_capacity=self.memory_capacity or None)
-        return ModelConfig(**shared)
+        super().__post_init__()
 
 
-_SECTION = {f.name: f.metadata["section"] for f in dataclasses.fields(RunConfig)}
+# fields inherited from ModelConfig carry no section: they are the [model] keys
+_SECTION = {f.name: f.metadata.get("section", "model") for f in dataclasses.fields(RunConfig)}
+_SECTIONS = ("data", "model", "train", "run")   # the order config_to_text writes
 
 # keys written by earlier versions: accepted in their old section, not stored
 _RETIRED = {"split_ratio": "data", "split_seed": "data",
@@ -126,9 +96,9 @@ def _ini() -> configparser.ConfigParser:
 
 def config_to_text(cfg: RunConfig) -> str:
     parser = _ini()
+    for section in _SECTIONS:
+        parser.add_section(section)
     for name, section in _SECTION.items():
-        if not parser.has_section(section):
-            parser.add_section(section)
         parser[section][name] = _render_value(getattr(cfg, name))
     buf = io.StringIO()
     parser.write(buf)
@@ -159,10 +129,9 @@ def config_from_text(text: str, source: str = "<string>") -> RunConfig:
     except configparser.Error as exc:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ValidationError(f"malformed config text: {message}") from exc
-    sections = set(_SECTION.values())
     items, retired = [], {}
     for section in parser.sections():
-        if section not in sections:
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
             if _SECTION.get(key, _RETIRED.get(key)) != section:

@@ -36,7 +36,10 @@ def evaluate(model: SegmentationModel, sequences: list[VideoSequence],
         frame_scores = []
         for t, pred in enumerate(preds, start=1):
             gt = unpad(seq.masks[t].data, seq.padding)
-            frame_scores.append(segmentation_metrics(pred, gt, threshold=threshold))
+            try:
+                frame_scores.append(segmentation_metrics(pred, gt, threshold=threshold))
+            except ValidationError as exc:
+                raise ValidationError(f"sequence {seq.name}, frame {t}: {exc}") from exc
         report.add_sequence(seq.name, frame_scores)
         if dump_dir is not None:
             out = Path(dump_dir) / seq.name
@@ -47,14 +50,14 @@ def evaluate(model: SegmentationModel, sequences: list[VideoSequence],
     return report
 
 
-ABLATION_ROWS = ("baseline", "+sfm", "+msff", "full")
-
 _ROW_TOGGLES = {
     "baseline": dict(use_sfm=False, use_msff=False),
     "+sfm": dict(use_sfm=True, use_msff=False),
     "+msff": dict(use_sfm=False, use_msff=True),
     "full": dict(use_sfm=True, use_msff=True),
 }
+
+ABLATION_ROWS = tuple(_ROW_TOGGLES)
 
 
 def ablate(config: RunConfig, train_seqs: list[VideoSequence],

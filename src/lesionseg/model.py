@@ -11,12 +11,12 @@ order, so (config, seed) fully determines the initial weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .backbone import Conv, Decoder, Encoder, EncoderConfig, Initializer, _flatten_params
+from .backbone import Conv, Decoder, Encoder, Initializer, _flatten_params
 from .errors import ValidationError
 from .fusion import POOLING_MODES, ConcatReduce, WeightedFusion
 from .temporal import SIMILARITY_MODES
@@ -26,9 +26,9 @@ TAP_CHOICES = (2, 3, 4)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and branch-toggle settings."""
+    """Architecture and branch-toggle settings: the `[model]` config keys."""
 
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    stage_channels: tuple[int, ...] = (16, 32, 64)
     use_sfm: bool = True            # spatial branch (prior-gated read)
     use_msff: bool = True           # weighted multi-branch fusion
     pooling: str = "both"
@@ -39,10 +39,15 @@ class ModelConfig:
     key_from_gated: bool = False
     use_current_value: bool = False
     hard_prior: bool = False
-    memory_capacity: int | None = None
+    memory_capacity: int = 0        # 0 means unlimited
     fc_reduction: int = 4
 
     def __post_init__(self):
+        if not self.stage_channels:
+            raise ValidationError("stage_channels must name at least one stage")
+        if self.feature_channels % 8 != 0:
+            raise ValidationError(
+                f"the last stage width {self.feature_channels} must be divisible by 8")
         if self.pooling not in POOLING_MODES:
             raise ValidationError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.encoder_tap not in TAP_CHOICES:
@@ -50,19 +55,36 @@ class ModelConfig:
         if self.similarity not in SIMILARITY_MODES:
             raise ValidationError(
                 f"similarity must be one of {SIMILARITY_MODES}, got {self.similarity!r}")
-        if self.memory_capacity is not None and self.memory_capacity < 1:
-            raise ValidationError("memory_capacity must be None or >= 1")
+        if self.memory_capacity < 0:
+            raise ValidationError(
+                f"memory_capacity must be >= 0 (0 means unlimited), got {self.memory_capacity}")
         if self.fc_reduction < 1:
             raise ValidationError(f"fc_reduction must be >= 1, got {self.fc_reduction}")
         if self.tap_stage_index < 0:
             raise ValidationError(
                 f"encoder_tap {self.encoder_tap} needs at least {5 - self.encoder_tap} "
-                f"encoder stages, config has {len(self.encoder.stage_channels)}")
+                f"encoder stages, config has {len(self.stage_channels)}")
+
+    @property
+    def total_stride(self) -> int:
+        return 2 ** len(self.stage_channels)   # each stage halves the resolution
+
+    @property
+    def feature_channels(self) -> int:
+        return self.stage_channels[-1]
+
+    @property
+    def key_channels(self) -> int:
+        return self.feature_channels // 8
+
+    @property
+    def value_channels(self) -> int:
+        return self.feature_channels // 2
 
     @property
     def tap_stage_index(self) -> int:
         # tap 4 names the last stage, 3 the second last, 2 the third last
-        return len(self.encoder.stage_channels) + self.encoder_tap - 5
+        return len(self.stage_channels) + self.encoder_tap - 5
 
 
 class SegmentationModel:
@@ -71,23 +93,22 @@ class SegmentationModel:
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
         self.config = config if config is not None else ModelConfig()
         cfg = self.config
-        enc = cfg.encoder
         init = Initializer(seed)
-        self.encoder = Encoder(enc, init)
-        decode_in = enc.value_channels * (2 if cfg.use_current_value else 1)
-        self.decoder = Decoder(enc, init, in_channels=decode_in)
+        self.encoder = Encoder(cfg, init)
+        decode_in = cfg.value_channels * (2 if cfg.use_current_value else 1)
+        self.decoder = Decoder(cfg, init, in_channels=decode_in)
         self.tap_proj: Conv | None = None
         self.fusion: WeightedFusion | None = None
         self.reduce: ConcatReduce | None = None
         if cfg.use_msff:
             idx = cfg.tap_stage_index
-            tap_stride = enc.total_stride // (2 ** (idx + 1))
-            self.tap_proj = Conv(init, enc.stage_channels[idx], enc.key_channels, 1,
+            tap_stride = cfg.total_stride // (2 ** (idx + 1))
+            self.tap_proj = Conv(init, cfg.stage_channels[idx], cfg.key_channels, 1,
                                  stride=tap_stride, padding=0)
-            self.fusion = WeightedFusion(init, enc.value_channels, enc.key_channels,
+            self.fusion = WeightedFusion(init, cfg.value_channels, cfg.key_channels,
                                          cfg.pooling, cfg.fc_reduction)
         elif cfg.use_sfm:
-            self.reduce = ConcatReduce(init, enc.value_channels)
+            self.reduce = ConcatReduce(init, cfg.value_channels)
 
     # -- branch plumbing -------------------------------------------------
 

@@ -49,7 +49,7 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
         raise ValidationError("first-frame mask must be binary {0, 1}")
     cfg = model.config
     seeded = model.encoder.encode(frame, mask=gt_mask)
-    memory = MemoryBank(capacity=cfg.memory_capacity)
+    memory = MemoryBank(capacity=cfg.memory_capacity or None)
     memory.append(seeded.key, seeded.value)
     raw = model.encoder.encode(frame)
     prior = PriorState(prev_mask=gt_mask, prev_key=raw.key)

@@ -98,7 +98,7 @@ def train(config: RunConfig, sequences: list[VideoSequence],
     usable = _eligible(sequences)
     if not usable:
         raise ValidationError("no trainable sequence (need >= 3 frames with masks)")
-    model = SegmentationModel(config.model_config(), seed=config.seed)
+    model = SegmentationModel(config, seed=config.seed)
     rng = np.random.default_rng([config.seed, 1])   # clip-sampling stream
     streams = [sample_clips(seq, rng) for seq in usable]
     optimizer = SGD(config.learning_rate, config.momentum)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import (Tensor, concat, conv2d, grad_check, linear, matmul, mul,
                        pool2d, relu, sigmoid, softmax_rows, tsum, upsample2x)
-from .backbone import Encoder, EncoderConfig, Initializer
+from .backbone import Encoder, Initializer
 from .checkpoint import BLOB, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import load_dataset, pad_to_multiple, unpad
@@ -39,7 +39,7 @@ from .train import smoothed, train
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-12
 
-SMALL_ENC = EncoderConfig(stage_channels=(4, 8))
+SMALL_MODEL = ModelConfig(stage_channels=(4, 8))
 
 # noiseless sequences for the overfit run; motion and deformation stay on
 OVERFIT_SYNTH = SynthConfig(resolution=64, frames=5, blur_sigma=0.0, speckle=0.0,
@@ -180,7 +180,7 @@ def _full_step_case(seed):
     tiny = SynthConfig(resolution=16, frames=3, axes=(3.0, 2.0), max_speed=0.5,
                        distractors=0)
     seq = synth_generate(tiny, seed)
-    model = SegmentationModel(ModelConfig(encoder=SMALL_ENC), seed=seed)
+    model = SegmentationModel(SMALL_MODEL, seed=seed)
     slots = [
         (model.decoder.head, "weight"),
         (model.encoder.value_head, "bias"),
@@ -290,7 +290,7 @@ def criterion_prior_gating(ws: Workspace):
     frame = Tensor(rng.random((1, 16, 16)))
     ones_ok = (apply_prior(Tensor(np.ones((1, 16, 16))), frame).data
                == frame.data).all()
-    enc = Encoder(SMALL_ENC, Initializer(0))
+    enc = Encoder(SMALL_MODEL, Initializer(0))
     gated = apply_prior(Tensor(np.zeros((1, 16, 16))), frame)
     v_prior = enc.encode(gated).value
     zeros_ok = not v_prior.data.any()

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor, grad_check, tmean
-from lesionseg.backbone import Decoder, Encoder, EncoderConfig, Initializer, predict_mask
+from lesionseg.backbone import Decoder, Encoder, Initializer, predict_mask
 from lesionseg.errors import ShapeError, ValidationError
+from lesionseg.model import ModelConfig
 
-SMALL = EncoderConfig(stage_channels=(4, 8))
+SMALL = ModelConfig(stage_channels=(4, 8))
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        EncoderConfig(stage_channels=(16, 32, 60))   # last width not /8
+        ModelConfig(stage_channels=(16, 32, 60))   # last width not /8
     with pytest.raises(ValidationError):
-        EncoderConfig(stage_channels=())
+        ModelConfig(stage_channels=())
     assert (SMALL.total_stride, SMALL.feature_channels) == (4, 8)
-    assert (EncoderConfig().total_stride, EncoderConfig().feature_channels) == (8, 64)
+    assert (ModelConfig().total_stride, ModelConfig().feature_channels) == (8, 64)
 
 
 def test_default_embedding_shapes():
-    enc = Encoder(EncoderConfig(), Initializer(0))
+    enc = Encoder(ModelConfig(), Initializer(0))
     emb = enc.encode(Tensor(np.random.default_rng(0).random((1, 64, 64))))
     assert emb.feature.shape == (64, 8, 8)
     assert emb.key.shape == (8, 8, 8)
@@ -84,8 +85,8 @@ def test_decoder_zero_inputs_give_bias():
 @pytest.mark.parametrize("config,hw", [
     (SMALL, 16),
     (SMALL, 32),
-    (EncoderConfig(), 64),
-    (EncoderConfig(stage_channels=(8, 16, 24)), 24),
+    (ModelConfig(), 64),
+    (ModelConfig(stage_channels=(8, 16, 24)), 24),
 ])
 def test_encode_decode_round_trip_shape(config, hw):
     init = Initializer(7)
@@ -124,7 +125,7 @@ def test_decoder_parameter_gradient():
 
 
 def test_encoder_parameter_count_formula():
-    enc = Encoder(EncoderConfig(), Initializer(0))
+    enc = Encoder(ModelConfig(), Initializer(0))
     total = sum(p.size for p in enc.params().values())
     # per stage: down conv + two residual convs, all 3x3 with bias
     expect = 0

@@ -13,7 +13,7 @@ SMALL = RunConfig(stage_channels=(4, 8))
 
 
 def small_model(seed=0):
-    return SegmentationModel(SMALL.model_config(), seed=seed)
+    return SegmentationModel(SMALL, seed=seed)
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -85,6 +85,48 @@ def test_truncated_blob_raises(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def _shift_offset(ck, index, delta):
+    lines = (ck / MANIFEST).read_text().splitlines()
+    head, offset = lines[index].rsplit(" @ ", 1)
+    lines[index] = f"{head} @ {int(offset) + delta}"
+    (ck / MANIFEST).write_text("\n".join(lines) + "\n")
+    return head.split(" = ")[0]
+
+
+def test_trailing_blob_bytes_raise(tmp_path):
+    save_checkpoint(tmp_path / "ck", small_model(), SMALL)
+    blob = tmp_path / "ck" / BLOB
+    blob.write_bytes(blob.read_bytes() + bytes(4))
+    with pytest.raises(ValidationError, match="4 bytes after its last tensor"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_manifest_gap_raises(tmp_path, index):
+    save_checkpoint(tmp_path / "ck", small_model(), SMALL)
+    name = _shift_offset(tmp_path / "ck", index, 4)
+    with pytest.raises(ValidationError, match=f"tensor {name} at byte"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_manifest_overlap_raises(tmp_path):
+    save_checkpoint(tmp_path / "ck", small_model(), SMALL)
+    name = _shift_offset(tmp_path / "ck", 1, -4)
+    with pytest.raises(ValidationError, match=f"tensor {name} at byte"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_non_finite_parameter_raises_at_load(tmp_path):
+    save_checkpoint(tmp_path / "ck", small_model(), SMALL)
+    second = (tmp_path / "ck" / MANIFEST).read_text().splitlines()[1]
+    name, offset = second.split(" = ")[0], int(second.rsplit(" @ ", 1)[1])
+    blob = bytearray((tmp_path / "ck" / BLOB).read_bytes())
+    blob[offset:offset + 4] = np.array([np.inf], dtype="<f4").tobytes()
+    (tmp_path / "ck" / BLOB).write_bytes(bytes(blob))
+    with pytest.raises(ValidationError, match=f"parameter {name} holds non-finite"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_malformed_manifest_raises(tmp_path):
     save_checkpoint(tmp_path / "ck", small_model(), SMALL)
     (tmp_path / "ck" / MANIFEST).write_text("encoder.weight 4x4x3x3\n")
@@ -112,7 +154,7 @@ def test_zero_step_training_checkpoints_the_initialization(tmp_path):
 
 def test_architecture_comes_from_the_stored_config(tmp_path):
     cfg = RunConfig(stage_channels=(4, 8), use_msff=False, use_sfm=False)
-    model = SegmentationModel(cfg.model_config(), seed=0)
+    model = SegmentationModel(cfg, seed=0)
     save_checkpoint(tmp_path / "ck", model, cfg)
     loaded, loaded_cfg, _, _ = load_checkpoint(tmp_path / "ck")
     assert loaded_cfg.use_msff is False

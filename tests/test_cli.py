@@ -221,7 +221,7 @@ def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
                "--split", "val"])
     assert rc == 2
-    assert "finite probabilities" in capsys.readouterr().err
+    assert "non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.tsv").exists()
 
 

@@ -10,16 +10,16 @@ from lesionseg.config import (RunConfig, apply_overrides, config_from_text,
                               config_to_text, load_config, save_config)
 from lesionseg.errors import ValidationError
 from lesionseg.fusion import POOLING_MODES
-from lesionseg.model import TAP_CHOICES
+from lesionseg.model import TAP_CHOICES, ModelConfig
 from lesionseg.temporal import SIMILARITY_MODES
 
 
 def test_defaults_build_a_valid_model_config():
     cfg = RunConfig()
-    mc = cfg.model_config()
-    assert mc.encoder.stage_channels == (16, 32, 64)
-    assert mc.use_sfm and mc.use_msff
-    assert mc.memory_capacity is None  # 0 maps to unlimited
+    assert isinstance(cfg, ModelConfig)
+    assert cfg.stage_channels == (16, 32, 64)
+    assert cfg.use_sfm and cfg.use_msff
+    assert cfg.memory_capacity == 0  # 0 means unlimited
 
 
 def test_text_round_trip_is_identity():
@@ -100,7 +100,7 @@ def test_invalid_configs_rejected(kwargs):
 
 def test_tap_2_accepted_with_three_stages():
     cfg = RunConfig(stage_channels=(16, 32, 64), encoder_tap=2)
-    assert cfg.model_config().tap_stage_index == 0
+    assert cfg.tap_stage_index == 0
 
 
 def test_overrides_beat_file_values():
@@ -218,7 +218,8 @@ def test_schema_has_21_fields_and_derives_stride_and_width():
     assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig(stage_channels=(8, 16))
     assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
-    assert cfg.model_config().encoder.total_stride == 4
+    # the 13 [model] keys are ModelConfig's fields, declared there only
+    assert len(dataclasses.fields(ModelConfig)) == 13
 
 
 def test_default_text_is_pinned():

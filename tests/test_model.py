@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor
-from lesionseg.backbone import EncoderConfig
+from lesionseg.config import RunConfig
 from lesionseg.errors import ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
 
-SMALL_ENC = EncoderConfig(stage_channels=(4, 8))
+SMALL_CHANNELS = (4, 8)
 
 
 def small_config(**kw):
-    return ModelConfig(encoder=SMALL_ENC, **kw)
+    return ModelConfig(stage_channels=SMALL_CHANNELS, **kw)
 
 
 def test_config_validation():
@@ -23,7 +23,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ModelConfig(similarity="cosine")
     with pytest.raises(ValidationError):
-        ModelConfig(memory_capacity=0)
+        ModelConfig(memory_capacity=-1)   # 0 means unlimited
     with pytest.raises(ValidationError):
         small_config(encoder_tap=2)   # third-last stage needs 3 stages
 
@@ -55,6 +55,13 @@ def test_default_parameter_count():
     described = model.describe()
     assert described.splitlines()[-1] == "total\t\t151673"
     assert len(model.parameters()) == 44
+
+
+def test_run_config_builds_the_default_model_network():
+    a = SegmentationModel(RunConfig(), seed=0).parameters()
+    b = SegmentationModel(ModelConfig(), seed=0).parameters()
+    assert a.keys() == b.keys()
+    assert all(a[k].data.tobytes() == b[k].data.tobytes() for k in a)
 
 
 def test_merge_baseline_is_identity():

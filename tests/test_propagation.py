@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor, sigmoid
-from lesionseg.backbone import EncoderConfig
 from lesionseg.data import Padding, pad_to_multiple
 from lesionseg.errors import ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
@@ -12,11 +11,11 @@ from lesionseg.propagation import init, propagate, step
 from lesionseg.synth import SynthConfig, synth_generate
 from lesionseg.temporal import memory_read
 
-SMALL_ENC = EncoderConfig(stage_channels=(4, 8))
+SMALL_CHANNELS = (4, 8)
 
 
 def small_model(**kw):
-    return SegmentationModel(ModelConfig(encoder=SMALL_ENC, **kw), seed=0)
+    return SegmentationModel(ModelConfig(stage_channels=SMALL_CHANNELS, **kw), seed=0)
 
 
 def small_seq(seed=0, frames=4):

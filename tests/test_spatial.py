@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor, grad_check, tsum
-from lesionseg.backbone import Encoder, EncoderConfig, Initializer
+from lesionseg.backbone import Encoder, Initializer
 from lesionseg.errors import ShapeError, ValidationError
+from lesionseg.model import ModelConfig
 from lesionseg.spatial import PriorState, apply_prior, spatial_read
 
-SMALL = EncoderConfig(stage_channels=(4, 8))
+SMALL = ModelConfig(stage_channels=(4, 8))
 
 
 def test_ones_mask_is_identity():

@@ -176,6 +176,19 @@ def test_evaluate_rejects_bad_inputs():
                                              masks=seq.masks[:1])])
 
 
+def test_evaluate_names_the_sequence_and_frame_of_a_bad_prediction(monkeypatch):
+    import lesionseg.evaluate as evaluate_module
+
+    def nan_at_frame_2(model, frames, first_gt, padding=None):
+        preds = [np.full(first_gt.shape, 0.5) for _ in frames[1:]]
+        preds[1][:] = np.nan   # preds[0] is frame 1
+        return preds
+
+    monkeypatch.setattr(evaluate_module, "propagate", nan_at_frame_2)
+    with pytest.raises(ValidationError, match="sequence seq0, frame 2: .*finite"):
+        evaluate(trained_model(steps=0), tiny_sequences(1))
+
+
 def test_evaluate_dump_writes_binary_masks(tmp_path):
     from lesionseg.netpbm import read_mask
     from lesionseg.propagation import propagate
