@@ -38,14 +38,12 @@ __all__ = [
     "relu",
     "sigmoid",
     "log",
-    "exp",
     "clamp",
     "tsum",
     "tmean",
     "reshape",
     "transpose",
     "concat",
-    "rowmax",
     "softmax_rows",
     "conv2d",
     "pool2d",
@@ -272,16 +270,6 @@ def log(a: Tensor) -> Tensor:
     return _record((a,), out, backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * out)
-
-    return _record((a,), out, backward)
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
@@ -399,22 +387,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             x.accumulate_grad(weight.data.T @ g)
 
     return _record((x, weight, bias), out, backward)
-
-
-def rowmax(s: Tensor) -> Tensor:
-    """Per-row maximum of a matrix, shape (m, 1); ties route to the first column."""
-    if s.ndim != 2:
-        raise ShapeError(f"rowmax expects a matrix, got shape {s.shape}")
-    arg = s.data.argmax(axis=1)
-    out = s.data[np.arange(s.shape[0]), arg][:, None]
-
-    def backward(g: np.ndarray) -> None:
-        if s.requires_grad:
-            ds = np.zeros_like(s.data)
-            ds[np.arange(s.shape[0]), arg] = g[:, 0]
-            s.accumulate_grad(ds)
-
-    return _record((s,), out, backward)
 
 
 def softmax_rows(s: Tensor) -> Tensor:

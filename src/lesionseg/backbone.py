@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import Tensor, concat, conv2d, relu, sigmoid, upsample2x
+from .autodiff import Tensor, concat, conv2d, relu, upsample2x
 from .errors import ShapeError, ValidationError
 
 if TYPE_CHECKING:
@@ -32,7 +32,6 @@ IN_CHANNELS = 1   # grayscale frames; the encoder adds one mask channel
 class FrameEmbedding:
     """Per-frame encoder outputs."""
 
-    feature: Tensor            # (C, h, w) last-stage feature map
     key: Tensor                # (C/8, h, w)
     value: Tensor              # (C/2, h, w)
     skips: list[Tensor] = field(default_factory=list)   # per-stage maps, shallow to deep
@@ -136,11 +135,9 @@ class Encoder:
         for stage in self.stages:
             x = stage(x)
             skips.append(x)
-        feature = skips[-1]
         return FrameEmbedding(
-            feature=feature,
-            key=self.key_head(feature),
-            value=self.value_head(feature),
+            key=self.key_head(skips[-1]),
+            value=self.value_head(skips[-1]),
             skips=skips,
         )
 
@@ -154,11 +151,10 @@ class Encoder:
 class Decoder:
     """Upsample-concat-conv blocks from the fused feature back to image size."""
 
-    def __init__(self, config: ModelConfig, init: Initializer,
-                 in_channels: int | None = None):
+    def __init__(self, config: ModelConfig, init: Initializer):
         self.config = config
         widths = list(config.stage_channels)
-        cin = config.value_channels if in_channels is None else in_channels
+        cin = config.value_channels
         self.blocks: list[Conv] = []
         for skip_width in widths[-2::-1]:   # block output width tracks its skip
             self.blocks.append(Conv(init, cin + skip_width, skip_width, 3))
@@ -183,8 +179,3 @@ class Decoder:
         named: dict[str, object] = {f"block{i}": b for i, b in enumerate(self.blocks)}
         named["head"] = self.head
         return _flatten_params(named)
-
-
-def predict_mask(logits: Tensor) -> Tensor:
-    """Sigmoid of the logit map: per-pixel foreground probability."""
-    return sigmoid(logits)

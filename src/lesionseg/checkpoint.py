@@ -6,15 +6,19 @@ Layout of a checkpoint directory::
     manifest.txt   one line per tensor: "name = shape @ byte_offset"
     params.bin     all tensors, row-major float32, little-endian
     config.ini     effective RunConfig echo
-    state.txt      step count and the sampler's bit-generator state (json)
+    state.txt      step count, the sha256 of params.bin and the sampler's
+                   bit-generator state (json)
 
 Saving quantizes the in-memory parameters to their float32 values, so a
 model that has just been saved is bitwise identical to its reload and
-evaluation metrics survive the round trip unchanged.
+evaluation metrics survive the round trip unchanged. Loading checks the
+blob against its recorded sha256, so a flipped bit is refused; a
+checkpoint written before the hash was recorded loads unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,10 +49,11 @@ def save_checkpoint(path, model: SegmentationModel, run_config: RunConfig,
         lines.append(f"{name} = {shape} @ {offset}\n")
         chunks.append(quantized.tobytes())
         offset += quantized.nbytes
+    blob = b"".join(chunks)
     (path / MANIFEST).write_text("".join(lines))
-    (path / BLOB).write_bytes(b"".join(chunks))
+    (path / BLOB).write_bytes(blob)
     (path / CONFIG).write_text(config_to_text(run_config))
-    state = {"step": int(step)}
+    state = {"step": int(step), "params_sha256": hashlib.sha256(blob).hexdigest()}
     if rng is not None:
         state["rng"] = rng.bit_generator.state
     (path / STATE).write_text(json.dumps(state, indent=1) + "\n")
@@ -99,6 +104,9 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
     if end != len(blob):
         raise ValidationError(
             f"checkpoint blob has {len(blob) - end} bytes after its last tensor")
-    model.load_parameter_data(arrays)
     state = json.loads((path / STATE).read_text())
+    recorded = state.get("params_sha256")
+    if recorded is not None and hashlib.sha256(blob).hexdigest() != recorded:
+        raise ValidationError(f"checkpoint {BLOB} does not match the sha256 in {STATE}")
+    model.load_parameter_data(arrays)
     return model, run_config, int(state.get("step", 0)), state.get("rng")

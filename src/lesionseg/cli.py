@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .model import TAP_CHOICES
 from .netpbm import write_mask
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
-from .temporal import SIMILARITY_MODES
 from .train import smoothed, train
 from .verify import run_all
 
@@ -40,27 +40,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pooling", choices=POOLING_MODES, default=None)
     parser.add_argument("--encoder-tap", dest="encoder_tap", type=int,
                         choices=TAP_CHOICES, default=None)
-    parser.add_argument("--similarity", choices=SIMILARITY_MODES, default=None)
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int,
                         default=None, help="max remembered frames (0 = unlimited)")
     for flag, dest, meaning in (
             ("--no-sfm", "use_sfm", "disable the prior-gated spatial branch"),
             ("--no-msff", "use_msff", "merge branches by concat + 1x1 conv"),
-            ("--no-key-scaling", "key_scaling", "drop the 1/sqrt(C/8) score scale"),
             ("--no-prior-mask-mapping", "prior_mask_mapping",
              "skip multiplying the previous mask onto the current frame")):
         parser.add_argument(flag, dest=dest, action="store_const", const=False,
                             default=None, help=meaning)
-    for flag, dest, meaning in (
-            ("--teacher-forcing", "teacher_forcing",
-             "update state with ground-truth masks during training"),
-            ("--hard-prior", "hard_prior", "binarize predictions before reuse"),
-            ("--key-from-gated", "key_from_gated",
-             "take the spatial attention key from the gated encode pass"),
-            ("--use-current-value", "use_current_value",
-             "concatenate the current frame's value to the decoder input")):
-        parser.add_argument(flag, dest=dest, action="store_const", const=True,
-                            default=None, help=meaning)
+    parser.add_argument("--teacher-forcing", dest="teacher_forcing", action="store_const",
+                        const=True, default=None,
+                        help="update state with ground-truth masks during training")
 
 
 def _effective_config(args) -> RunConfig:
@@ -154,16 +145,15 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+# synth flags that set a SynthConfig field of the same dest
+_SYNTH_FLAGS = (("--resolution", "resolution"), ("--frames", "frames"),
+                ("--blur", "blur_sigma"), ("--speckle", "speckle"),
+                ("--distractors", "distractors"), ("--deformation", "deformation"),
+                ("--max-speed", "max_speed"))
+
+
 def cmd_synth(args) -> int:
-    synth_cfg = SynthConfig(
-        resolution=args.resolution,
-        frames=args.frames,
-        blur_sigma=args.blur,
-        speckle=args.speckle,
-        distractors=args.distractors,
-        deformation=args.deformation,
-        max_speed=args.max_speed,
-    )
+    synth_cfg = SynthConfig(**{dest: getattr(args, dest) for _, dest in _SYNTH_FLAGS})
     train_names, val_names = make_dataset(
         args.out, args.count, synth_cfg, seed=args.seed,
         val_count=args.val_count, ratio=args.ratio)
@@ -222,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--frames", type=int, default=5)
-    p.add_argument("--blur", type=float, default=1.0)
-    p.add_argument("--speckle", type=float, default=0.25)
-    p.add_argument("--distractors", type=int, default=2)
-    p.add_argument("--deformation", type=float, default=0.08)
-    p.add_argument("--max-speed", dest="max_speed", type=float, default=1.0)
-    p.add_argument("--ratio", type=float, default=0.9, help="train split fraction")
+    synth_defaults = SynthConfig()
+    for flag, dest in _SYNTH_FLAGS:
+        default = getattr(synth_defaults, dest)
+        p.add_argument(flag, dest=dest, type=type(default), default=default)
+    p.add_argument("--ratio", type=float, help="train split fraction",
+                   default=inspect.signature(make_dataset).parameters["ratio"].default)
     p.add_argument("--val-count", dest="val_count", type=int, default=None,
                    help="pin the validation set size exactly")
     p.set_defaults(func=cmd_synth)

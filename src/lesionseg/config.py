@@ -55,9 +55,20 @@ class RunConfig(ModelConfig):
 _SECTION = {f.name: f.metadata.get("section", "model") for f in dataclasses.fields(RunConfig)}
 _SECTIONS = ("data", "model", "train", "run")   # the order config_to_text writes
 
-# keys written by earlier versions: accepted in their old section, not stored
-_RETIRED = {"split_ratio": "data", "split_seed": "data",
-            "total_stride": "model", "feature_channels": "model"}
+# keys written by earlier versions: accepted only in their old section and
+# with the value this version always has, then dropped. That value is a
+# constant, a function of the config, or None when any value is accepted.
+_RETIRED = {
+    "split_ratio": ("data", None),
+    "split_seed": ("data", None),
+    "total_stride": ("model", ModelConfig.total_stride.fget),
+    "feature_channels": ("model", ModelConfig.feature_channels.fget),
+    "similarity": ("model", "standard"),
+    "key_scaling": ("model", True),
+    "key_from_gated": ("model", False),
+    "use_current_value": ("model", False),
+    "hard_prior": ("model", False),
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -79,6 +90,7 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 _SPECIAL_PARSERS = {bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
 _PARSERS = {name: _SPECIAL_PARSERS.get(hint, hint)
             for name, hint in typing.get_type_hints(RunConfig).items()}
+_KNOWN_SECTION = _SECTION | {key: section for key, (section, _) in _RETIRED.items()}
 
 
 def _render_value(value) -> str:
@@ -134,18 +146,22 @@ def config_from_text(text: str, source: str = "<string>") -> RunConfig:
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if _SECTION.get(key, _RETIRED.get(key)) != section:
+            if _KNOWN_SECTION.get(key) != section:
                 raise ValidationError(f"key {key!r} does not belong in section [{section}]")
             if key in _RETIRED:
                 retired[key] = raw
             else:
                 items.append((key, raw))
     cfg = RunConfig(**_coerce_items(items))
-    for key in ("total_stride", "feature_channels"):
-        if key in retired and _coerce(key, int, retired[key]) != getattr(cfg, key):
+    for key, raw in retired.items():
+        kept = _RETIRED[key][1]
+        if callable(kept):
+            kept = kept(cfg)
+        if kept is not None and _coerce(key, _SPECIAL_PARSERS.get(type(kept), type(kept)),
+                                        raw) != kept:
             raise ValidationError(
-                f"config key {key!r} = {retired[key]} disagrees with stage_channels "
-                f"{cfg.stage_channels}, which give {getattr(cfg, key)}")
+                f"config key {key!r} is retired and may only hold "
+                f"{_render_value(kept)}, got {raw}")
     return cfg
 
 

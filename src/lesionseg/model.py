@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .backbone import Conv, Decoder, Encoder, Initializer, _flatten_params
 from .errors import ValidationError
 from .fusion import POOLING_MODES, ConcatReduce, WeightedFusion
-from .temporal import SIMILARITY_MODES
 
 TAP_CHOICES = (2, 3, 4)
 
@@ -34,11 +33,6 @@ class ModelConfig:
     pooling: str = "both"
     encoder_tap: int = 4            # 4 = last stage, 3 = second last, 2 = third last
     prior_mask_mapping: bool = True
-    similarity: str = "standard"
-    key_scaling: bool = True
-    key_from_gated: bool = False
-    use_current_value: bool = False
-    hard_prior: bool = False
     memory_capacity: int = 0        # 0 means unlimited
     fc_reduction: int = 4
 
@@ -52,9 +46,6 @@ class ModelConfig:
             raise ValidationError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.encoder_tap not in TAP_CHOICES:
             raise ValidationError(f"encoder_tap must be one of {TAP_CHOICES}, got {self.encoder_tap}")
-        if self.similarity not in SIMILARITY_MODES:
-            raise ValidationError(
-                f"similarity must be one of {SIMILARITY_MODES}, got {self.similarity!r}")
         if self.memory_capacity < 0:
             raise ValidationError(
                 f"memory_capacity must be >= 0 (0 means unlimited), got {self.memory_capacity}")
@@ -95,8 +86,7 @@ class SegmentationModel:
         cfg = self.config
         init = Initializer(seed)
         self.encoder = Encoder(cfg, init)
-        decode_in = cfg.value_channels * (2 if cfg.use_current_value else 1)
-        self.decoder = Decoder(cfg, init, in_channels=decode_in)
+        self.decoder = Decoder(cfg, init)
         self.tap_proj: Conv | None = None
         self.fusion: WeightedFusion | None = None
         self.reduce: ConcatReduce | None = None
@@ -126,13 +116,6 @@ class SegmentationModel:
             assert spatial is not None, "concat merge needs the spatial branch"
             return self.reduce(temporal, spatial)
         return temporal
-
-    def decode(self, fused: Tensor, skips: list[Tensor],
-               current_value: Tensor | None = None) -> Tensor:
-        if self.config.use_current_value:
-            assert current_value is not None
-            fused = concat([fused, current_value], axis=0)
-        return self.decoder.decode(fused, skips)
 
     # -- parameter registry ----------------------------------------------
 

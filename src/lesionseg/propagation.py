@@ -3,9 +3,10 @@ predict every later frame from the memory read, the prior-gated spatial
 read, and the coarse encoder tap.
 
 The same step function serves training and inference. State updates use
-the soft predicted mask by default so gradients can flow from a later
-frame's loss into an earlier prediction; `update_mask` overrides that
-(teacher forcing), and the hard-prior option binarizes before reuse.
+the soft predicted mask, so gradients can flow from a later frame's loss
+into an earlier prediction; `update_mask` replaces it (teacher forcing).
+The spatial read takes its key from the previous frame's ungated encode,
+and the decoder takes the fused feature with the current frame's skips.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ class PropagationState:
     memory: MemoryBank
     prior: PriorState
     frame_index: int    # frames consumed so far
-
-
-def _as_state_mask(pred: Tensor, hard: bool) -> Tensor:
-    """Mask carried into memory/prior: soft by default, thresholded if hard."""
-    if hard:
-        return Tensor((pred.data >= 0.5).astype(np.float64))
-    return pred
 
 
 def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> PropagationState:
@@ -66,8 +60,7 @@ def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
     """
     cfg = model.config
     current = model.encoder.encode(frame)
-    temporal = memory_read(state.memory, current.key, key_scaling=cfg.key_scaling,
-                           similarity=cfg.similarity)
+    temporal = memory_read(state.memory, current.key)
     spatial = None
     if cfg.use_sfm:
         if cfg.prior_mask_mapping:
@@ -75,15 +68,11 @@ def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
         else:
             gate_input = frame
         gated = model.encoder.encode(gate_input)
-        prev_key = gated.key if cfg.key_from_gated else state.prior.prev_key
-        spatial = spatial_read(current.key, prev_key, gated.value,
-                               key_scaling=cfg.key_scaling, similarity=cfg.similarity)
+        spatial = spatial_read(current.key, state.prior.prev_key, gated.value)
     fused = model.merge_branches(temporal, spatial, current.skips)
-    logits = model.decode(fused, current.skips, current_value=current.value)
-    pred = sigmoid(logits)
+    pred = sigmoid(model.decoder.decode(fused, current.skips))
 
-    state_mask = _as_state_mask(pred if update_mask is None else update_mask,
-                                cfg.hard_prior)
+    state_mask = pred if update_mask is None else update_mask
     remembered = model.encoder.encode(frame, mask=state_mask)
     state.memory.append(remembered.key, remembered.value)
     prior = PriorState(prev_mask=state_mask, prev_key=current.key)

@@ -40,9 +40,6 @@ def apply_prior(prior_mask: Tensor, frame: Tensor) -> Tensor:
     return mul(prior_mask, frame)
 
 
-def spatial_read(query_key: Tensor, prev_key: Tensor, value_prior: Tensor,
-                 *, key_scaling: bool = True, similarity: str = "standard",
-                 return_attention: bool = False):
+def spatial_read(query_key: Tensor, prev_key: Tensor, value_prior: Tensor) -> Tensor:
     """One-entry attention read: previous frame's key, prior-gated value."""
-    return attention_read(query_key, [prev_key], [value_prior], key_scaling=key_scaling,
-                          similarity=similarity, return_attention=return_attention)
+    return attention_read(query_key, [prev_key], [value_prior])

@@ -2,14 +2,15 @@
 
 Each past frame contributes one (C/8, h, w) key map and one (C/2, h, w)
 value map.  Reading flattens the query key to an (h*w, C/8) matrix, matches
-it against all memory positions with a scaled dot product, normalizes with a
-softmax over the whole memory axis, and mixes the value vectors.  Every
-output position is therefore a convex combination of memory value vectors.
+it against all memory positions with a dot product scaled by 1/sqrt(C/8)
+(the STM read, arXiv 1904.00607), normalizes with a softmax over the whole
+memory axis, and mixes the value vectors.  Every output position is
+therefore a convex combination of memory value vectors.
 
 There are two ways to compute a read:
 
 * When nothing records it (no tape is active, or no input requires
-  grad; the rule of ``autodiff.recording``), a ``standard`` read without
+  grad; the rule of ``autodiff.recording``), a read without
   ``return_attention`` runs in plain numpy, a chunk of whole memory
   entries at a time, with an online softmax (Milakov & Gimelshein, arXiv
   1805.02867; Rabe & Staats, arXiv 2112.05682). A chunk's score block
@@ -21,20 +22,17 @@ There are two ways to compute a read:
   it; a longer read agrees with it to rounding.
 * Every other read stays on the dense ``Tensor`` path over the whole
   (h*w, T*h*w) score matrix: taped reads, whose backward needs the full
-  attention (in training the memory holds at most two entries);
-  ``paper-literal``, whose inner exponential needs the global row max;
-  and ``return_attention=True``.
+  attention (in training the memory holds at most two entries), and
+  ``return_attention=True``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, exp, matmul, recording, reshape, rowmax, softmax_rows,
-                       transpose)
+from .autodiff import Tensor, concat, matmul, recording, reshape, softmax_rows, transpose
 from .errors import ShapeError, StateError
 
-SIMILARITY_MODES = ("standard", "paper-literal")
 # score elements per chunk of an untaped read (512 KiB of float64): one
 # entry per chunk at 16x16 positions, 16 entries at 8x8
 CHUNK_SCORES = 2 ** 16
@@ -79,16 +77,12 @@ def _flatten_key(key: Tensor) -> Tensor:
 
 
 def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
-                   *, key_scaling: bool = True, similarity: str = "standard",
-                   return_attention: bool = False):
+                   *, return_attention: bool = False):
     """Shared attention mechanics for the temporal and spatial reads.
 
-    ``similarity='paper-literal'`` applies an extra exponential to the
-    scores before the softmax, stabilized by a per-row max subtraction at
-    both levels; the default reads the exponential as softmax notation.
+    With ``return_attention`` the (h*w, T*h*w) attention matrix is
+    returned with the read.
     """
-    if similarity not in SIMILARITY_MODES:
-        raise ValueError(f"similarity must be one of {SIMILARITY_MODES}, got {similarity!r}")
     ck, h, w = query_key.shape
     if not keys or len(values) != len(keys):
         raise ShapeError(f"attention over {len(keys)} memory keys and {len(values)} values")
@@ -97,17 +91,12 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     cv = values[0].shape[0]
     if any(v.shape != (cv, h, w) for v in values):
         raise ShapeError("memory value dims do not match the query key")
-    if similarity == "standard" and not return_attention and not recording(
-            [query_key, *keys, *values]):
-        return _chunked_read(query_key, keys, values, key_scaling=key_scaling)
+    if not return_attention and not recording([query_key, *keys, *values]):
+        return _chunked_read(query_key, keys, values)
 
     query = transpose(_flatten_key(query_key))                      # (hw, C/8)
     memory_keys = concat([_flatten_key(k) for k in keys], axis=1)   # (C/8, T*hw)
-    scores = matmul(query, memory_keys)
-    if key_scaling:
-        scores = scores * (1.0 / np.sqrt(ck))
-    if similarity == "paper-literal":
-        scores = exp(scores - rowmax(scores))
+    scores = matmul(query, memory_keys) * (1.0 / np.sqrt(ck))
     attention = softmax_rows(scores)                                # (hw, T*hw)
 
     memory_values = concat([_flatten_key(v) for v in values], axis=1)
@@ -118,9 +107,8 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     return out
 
 
-def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
-                  *, key_scaling: bool) -> Tensor:
-    """Untaped standard read with an online softmax over chunks of entries."""
+def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -> Tensor:
+    """Untaped read with an online softmax over chunks of entries."""
     ck, h, w = query_key.shape
     cv, hw = values[0].shape[0], h * w
     query = np.ascontiguousarray(query_key.data.reshape(ck, hw).T)     # (hw, C/8)
@@ -132,8 +120,7 @@ def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
         chunk_values = np.ascontiguousarray(     # (n*hw, C/2)
             np.concatenate([v.data.reshape(cv, hw) for v in values[chunk]], axis=1).T)
         scores = query @ chunk_keys                                     # (hw, n*hw)
-        if key_scaling:
-            scores *= 1.0 / np.sqrt(ck)
+        scores *= 1.0 / np.sqrt(ck)
         new_max = scores.max(axis=1, keepdims=True)
         if mixed is not None:
             new_max = np.maximum(row_max, new_max)
@@ -153,10 +140,8 @@ def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     return Tensor(np.ascontiguousarray(mixed.T).reshape(cv, h, w))
 
 
-def memory_read(bank: MemoryBank, query_key: Tensor, *, key_scaling: bool = True,
-                similarity: str = "standard", return_attention: bool = False):
+def memory_read(bank: MemoryBank, query_key: Tensor) -> Tensor:
     """Attend over the whole memory bank with the current frame's key."""
     if len(bank) == 0:
         raise StateError("memory_read on an empty bank")
-    return attention_read(query_key, bank.keys, bank.values, key_scaling=key_scaling,
-                          similarity=similarity, return_attention=return_attention)
+    return attention_read(query_key, bank.keys, bank.values)

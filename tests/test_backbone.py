@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lesionseg.autodiff import Tensor, grad_check, tmean
-from lesionseg.backbone import Decoder, Encoder, Initializer, predict_mask
+from lesionseg.autodiff import Tensor, grad_check, sigmoid, tmean
+from lesionseg.backbone import Decoder, Encoder, Initializer
 from lesionseg.errors import ShapeError, ValidationError
 from lesionseg.model import ModelConfig
 
@@ -23,7 +23,6 @@ def test_config_validation():
 def test_default_embedding_shapes():
     enc = Encoder(ModelConfig(), Initializer(0))
     emb = enc.encode(Tensor(np.random.default_rng(0).random((1, 64, 64))))
-    assert emb.feature.shape == (64, 8, 8)
     assert emb.key.shape == (8, 8, 8)
     assert emb.value.shape == (32, 8, 8)
     assert [s.shape for s in emb.skips] == [(16, 32, 32), (32, 16, 16), (64, 8, 8)]
@@ -42,7 +41,7 @@ def test_encode_deterministic():
     frame = Tensor(np.random.default_rng(3).random((1, 16, 16)))
     a = enc.encode(frame)
     b = enc.encode(frame)
-    assert (a.feature.data == b.feature.data).all()
+    assert (a.skips[-1].data == b.skips[-1].data).all()
     assert (a.key.data == b.key.data).all()
 
 
@@ -66,7 +65,7 @@ def test_mask_channel_changes_embedding():
     frame = Tensor(np.random.default_rng(5).random((1, 16, 16)))
     plain = enc.encode(frame)
     masked = enc.encode(frame, mask=Tensor(np.ones((1, 16, 16))))
-    assert not np.allclose(plain.feature.data, masked.feature.data)
+    assert not np.allclose(plain.skips[-1].data, masked.skips[-1].data)
 
 
 def test_decoder_zero_inputs_give_bias():
@@ -96,7 +95,7 @@ def test_encode_decode_round_trip_shape(config, hw):
     emb = enc.encode(frame)
     logits = dec.decode(emb.value, emb.skips)
     assert logits.shape == (1, hw, hw)
-    prob = predict_mask(logits)
+    prob = sigmoid(logits)
     assert prob.data.min() > 0.0 and prob.data.max() < 1.0
 
 

@@ -3,10 +3,13 @@ verify, flag precedence, and error exits."""
 
 import argparse
 import dataclasses
+import functools
 import importlib.metadata
 import importlib.util
+import inspect
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,8 +19,10 @@ import numpy as np
 import pytest
 
 import lesionseg
+from lesionseg import cli
 from lesionseg.cli import _add_config_flags, _effective_config, build_parser, main
 from lesionseg.config import RunConfig, load_config
+from lesionseg.synth import SynthConfig, make_dataset
 
 RES = 48   # roomy enough for the default lesion geometry
 REPO = Path(__file__).resolve().parents[1]
@@ -129,7 +134,8 @@ def test_flags_override_config_file(pipeline, tmp_path):
     assert echoed.learning_rate == 0.5  # file beats default
 
 
-# every config flag with the RunConfig field it sets and a non-default value
+# every config flag with the RunConfig field it sets and a non-default value,
+# the two choice flags once per non-default choice
 CONFIG_FLAGS = [
     (["--data", "/d"], "data_root", "/d"),
     (["--seed", "4"], "seed", 4),
@@ -138,16 +144,13 @@ CONFIG_FLAGS = [
     (["--momentum", "0.5"], "momentum", 0.5),
     (["--pooling", "avg"], "pooling", "avg"),
     (["--encoder-tap", "3"], "encoder_tap", 3),
-    (["--similarity", "paper-literal"], "similarity", "paper-literal"),
+    (["--pooling", "max"], "pooling", "max"),
     (["--memory-capacity", "5"], "memory_capacity", 5),
     (["--no-sfm"], "use_sfm", False),
     (["--no-msff"], "use_msff", False),
-    (["--no-key-scaling"], "key_scaling", False),
+    (["--encoder-tap", "2"], "encoder_tap", 2),
     (["--no-prior-mask-mapping"], "prior_mask_mapping", False),
     (["--teacher-forcing"], "teacher_forcing", True),
-    (["--hard-prior"], "hard_prior", True),
-    (["--key-from-gated"], "key_from_gated", True),
-    (["--use-current-value"], "use_current_value", True),
 ]
 
 
@@ -164,6 +167,43 @@ def test_every_config_flag_is_covered():
     dests = {a.dest for a in parser._actions} - {"help", "config"}
     assert dests == {field for _, field, _ in CONFIG_FLAGS}
     assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _subcommand_flags(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return set(subparsers.choices[command]._option_string_actions)
+
+
+def test_every_flag_the_readme_names_is_accepted():
+    readme = (REPO / "README.md").read_text()
+    named = []   # (subcommand, flag)
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["lesionseg"] and len(words) > 1:
+                named += [(words[1], w) for w in words[2:] if w.startswith("--")]
+    toggles = readme.split("Useful toggles:", 1)[1].split("\n\n", 1)[0]
+    toggle_flags = re.findall(r"`(--[a-z-]+)", toggles)
+    assert named and toggle_flags
+    named += [("train", flag) for flag in toggle_flags]
+    rejected = [(command, flag) for command, flag in named
+                if flag not in _subcommand_flags(command)]
+    assert not rejected
+
+
+def test_synth_without_flags_builds_the_default_config(monkeypatch, tmp_path):
+    calls = []
+
+    def record(root, count, cfg, seed, val_count, ratio):
+        calls.append((cfg, ratio))
+        return [], []
+
+    # wraps keeps make_dataset's signature, where the parser reads --ratio's default
+    monkeypatch.setattr(cli, "make_dataset", functools.wraps(make_dataset)(record))
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    ratio = inspect.signature(make_dataset).parameters["ratio"].default
+    assert calls == [(SynthConfig(), ratio)]
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):
@@ -222,6 +262,21 @@ def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
                "--split", "val"])
     assert rc == 2
     assert "non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.tsv").exists()
+
+
+@pytest.mark.parametrize("line", ["similarity = paper-literal", "key_scaling = false",
+                                  "key_from_gated = true", "use_current_value = true",
+                                  "hard_prior = true"])
+def test_eval_of_a_checkpoint_with_a_retired_switch_set_exits_2(pipeline, tmp_path,
+                                                                capsys, line):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    config = ckpt / "config.ini"
+    config.write_text(config.read_text().replace("[model]\n", f"[model]\n{line}\n"))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config key {line.split(' = ')[0]!r} is retired" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.tsv").exists()
 
 

@@ -11,7 +11,6 @@ from lesionseg.config import (RunConfig, apply_overrides, config_from_text,
 from lesionseg.errors import ValidationError
 from lesionseg.fusion import POOLING_MODES
 from lesionseg.model import TAP_CHOICES, ModelConfig
-from lesionseg.temporal import SIMILARITY_MODES
 
 
 def test_defaults_build_a_valid_model_config():
@@ -48,12 +47,13 @@ stage_channels = 4, 8
 total_stride = 4
 feature_channels = 8
 use_sfm = off
-key_scaling = YES
+[train]
+teacher_forcing = YES
 """
     cfg = config_from_text(text)
     assert cfg.stage_channels == (4, 8)
     assert cfg.use_sfm is False
-    assert cfg.key_scaling is True
+    assert cfg.teacher_forcing is True
 
 
 def test_unknown_section_rejected():
@@ -133,7 +133,8 @@ def test_frozen():
 # -- one schema ----------------------------------------------------------
 
 # config_to_text(RunConfig()) as written before split_ratio, split_seed,
-# total_stride and feature_channels were retired, minus those four lines
+# total_stride, feature_channels and the five switches in RETIRED_SWITCHES
+# were retired, minus those nine lines
 DEFAULT_TEXT = """\
 [data]
 data_root = 
@@ -145,11 +146,6 @@ use_msff = true
 pooling = both
 encoder_tap = 4
 prior_mask_mapping = true
-similarity = standard
-key_scaling = true
-key_from_gated = false
-use_current_value = false
-hard_prior = false
 memory_capacity = 0
 fc_reduction = 4
 
@@ -166,7 +162,8 @@ seed = 0
 
 """
 
-# a config.ini in the earlier 25-key format, every value off its default
+# a config.ini in the earlier 25-key format: every key that is still a
+# setting off its default, the retired switches at the values kept
 LEGACY_TEXT = """\
 [data]
 data_root = /data/busv
@@ -182,11 +179,11 @@ use_msff = false
 pooling = max
 encoder_tap = 3
 prior_mask_mapping = false
-similarity = paper-literal
-key_scaling = false
-key_from_gated = true
-use_current_value = true
-hard_prior = true
+similarity = standard
+key_scaling = true
+key_from_gated = false
+use_current_value = false
+hard_prior = false
 memory_capacity = 6
 fc_reduction = 2
 
@@ -205,21 +202,27 @@ seed = 7
 
 LEGACY_CONFIG = RunConfig(
     data_root="/data/busv", stage_channels=(8, 16), use_sfm=False, use_msff=False,
-    pooling="max", encoder_tap=3, prior_mask_mapping=False, similarity="paper-literal",
-    key_scaling=False, key_from_gated=True, use_current_value=True, hard_prior=True,
+    pooling="max", encoder_tap=3, prior_mask_mapping=False,
     memory_capacity=6, fc_reduction=2, learning_rate=0.05, momentum=0.9, steps=500,
     log_every=10, loss_window=5, teacher_forcing=True, seed=7)
 
-RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels")
+# retired model switches with the one value each still accepts and a refused one
+RETIRED_SWITCHES = {"similarity": ("standard", "paper-literal"),
+                    "key_scaling": ("true", "false"),
+                    "key_from_gated": ("false", "true"),
+                    "use_current_value": ("false", "true"),
+                    "hard_prior": ("false", "true")}
+RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels",
+           *RETIRED_SWITCHES)
 
 
-def test_schema_has_21_fields_and_derives_stride_and_width():
-    assert len(dataclasses.fields(RunConfig)) == 21
+def test_schema_has_16_fields_and_derives_stride_and_width():
+    assert len(dataclasses.fields(RunConfig)) == 16
     assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig(stage_channels=(8, 16))
     assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
-    # the 13 [model] keys are ModelConfig's fields, declared there only
-    assert len(dataclasses.fields(ModelConfig)) == 13
+    # the 8 [model] keys are ModelConfig's fields, declared there only
+    assert len(dataclasses.fields(ModelConfig)) == 8
 
 
 def test_default_text_is_pinned():
@@ -240,6 +243,16 @@ def test_legacy_25_key_text_loads_to_the_same_values():
 def test_retired_keys_only_in_their_old_section(key, section):
     with pytest.raises(ValidationError, match="does not belong"):
         config_from_text(f"[{section}]\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key, (_, refused) in RETIRED_SWITCHES.items()
+    for value in (refused, "maybe")] + [("similarity", "Standard")])
+def test_retired_switch_at_another_value_is_refused(key, value):
+    kept = RETIRED_SWITCHES[key][0]
+    assert config_from_text(f"[model]\n{key} = {kept}\n") == RunConfig()
+    with pytest.raises(ValidationError, match=key):
+        config_from_text(f"[model]\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("line", ["total_stride = 8", "feature_channels = 64",
@@ -312,11 +325,6 @@ FIELD_STRATEGIES = {
     "pooling": st.sampled_from(POOLING_MODES),
     "encoder_tap": st.sampled_from(TAP_CHOICES),
     "prior_mask_mapping": st.booleans(),
-    "similarity": st.sampled_from(SIMILARITY_MODES),
-    "key_scaling": st.booleans(),
-    "key_from_gated": st.booleans(),
-    "use_current_value": st.booleans(),
-    "hard_prior": st.booleans(),
     "memory_capacity": st.integers(0, 10_000),
     "fc_reduction": st.integers(1, 64),
     "learning_rate": st.floats(min_value=0.0, exclude_min=True, **_finite),

@@ -21,8 +21,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ModelConfig(encoder_tap=5)
     with pytest.raises(ValidationError):
-        ModelConfig(similarity="cosine")
-    with pytest.raises(ValidationError):
         ModelConfig(memory_capacity=-1)   # 0 means unlimited
     with pytest.raises(ValidationError):
         small_config(encoder_tap=2)   # third-last stage needs 3 stages
@@ -88,16 +86,6 @@ def test_toggle_parameter_sets():
     assert base < full
     assert any(n.startswith("fusion.") for n in full - base)
     assert any(n.startswith("reduce.") for n in concat - base)
-
-
-def test_use_current_value_widens_decoder():
-    cfg = small_config(use_current_value=True)
-    model = SegmentationModel(cfg, seed=3)
-    frame = Tensor(np.random.default_rng(4).random((1, 16, 16)))
-    emb = model.encoder.encode(frame)
-    fused = model.merge_branches(emb.value, emb.value, emb.skips)
-    logits = model.decode(fused, emb.skips, current_value=emb.value)
-    assert logits.shape == (1, 16, 16)
 
 
 def test_seed_determinism():

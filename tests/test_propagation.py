@@ -77,15 +77,6 @@ def test_teacher_forcing_updates_state_with_gt():
     assert not (state.prior.prev_mask.data == pred.data).all()
 
 
-def test_hard_prior_binarizes_state_mask():
-    model = small_model(hard_prior=True)
-    seq = small_seq(seed=5)
-    state = init(model, seq.frames[0], seq.masks[0])
-    state, pred = step(model, state, seq.frames[1])
-    assert set(np.unique(state.prior.prev_mask.data)) <= {0.0, 1.0}
-    assert not set(np.unique(pred.data)) <= {0.0, 1.0}
-
-
 def test_memory_capacity_monotone_with_pinned_first():
     model = small_model(memory_capacity=2)
     seq = small_seq(seed=6, frames=5)
@@ -137,9 +128,7 @@ def test_propagate_unpads_to_original_resolution():
 def test_ablated_models_still_propagate():
     seq = small_seq(seed=11, frames=3)
     for kw in (dict(use_sfm=False), dict(use_msff=False),
-               dict(use_current_value=True), dict(key_from_gated=True),
-               dict(prior_mask_mapping=False), dict(similarity="paper-literal"),
-               dict(key_scaling=False), dict(encoder_tap=3)):
+               dict(prior_mask_mapping=False), dict(encoder_tap=3)):
         model = small_model(**kw)
         preds = propagate(model, seq.frames, seq.masks[0])
         assert len(preds) == 2 and np.isfinite(preds[0]).all()

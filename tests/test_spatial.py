@@ -88,7 +88,7 @@ def test_saturated_query_picks_position():
         prev_key[i, i // 2, i % 2] = 1.0
     value = np.arange(4.0 * 4).reshape(4, 2, 2)
     query = Tensor(100.0 * prev_key)   # position p attends to memory position p
-    z = spatial_read(query, Tensor(prev_key), Tensor(value), key_scaling=False)
+    z = spatial_read(query, Tensor(prev_key), Tensor(value))
     assert np.allclose(z.data, value, atol=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Memory bank behavior and attention-read invariants."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -105,8 +106,7 @@ def test_saturated_query_selects_matching_value():
     assert np.allclose(y.data, 5.0, atol=1e-6)
 
 
-@pytest.mark.parametrize("similarity", ["standard", "paper-literal"])
-def test_attention_invariants(similarity):
+def test_attention_invariants():
     rng = np.random.default_rng(3)
     for _ in range(10):
         t = int(rng.integers(1, 5))
@@ -114,8 +114,7 @@ def test_attention_invariants(similarity):
         keys = [Tensor(rng.standard_normal((2, hw, hw))) for _ in range(t)]
         values = [Tensor(rng.standard_normal((4, hw, hw))) for _ in range(t)]
         query = Tensor(rng.standard_normal((2, hw, hw)))
-        y, attn = attention_read(query, keys, values, similarity=similarity,
-                                 return_attention=True)
+        y, attn = attention_read(query, keys, values, return_attention=True)
         assert np.allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
         assert (attn.data >= 0.0).all()
         flat = np.concatenate([v.data.reshape(4, -1) for v in values], axis=1)
@@ -123,28 +122,21 @@ def test_attention_invariants(similarity):
         hi = flat.max(axis=1)[:, None, None] + 1e-12
         assert (y.data >= lo).all() and (y.data <= hi).all()
         perm = list(rng.permutation(t))
-        y2 = attention_read(query, [keys[i] for i in perm], [values[i] for i in perm],
-                            similarity=similarity)
+        y2 = attention_read(query, [keys[i] for i in perm], [values[i] for i in perm])
         assert np.allclose(y.data, y2.data, atol=1e-12)
 
 
-def test_paper_literal_mode_stays_finite_for_large_scores():
-    k = Tensor(np.full((2, 2, 2), 40.0))
-    v = Tensor(np.ones((4, 2, 2)))
-    y = attention_read(Tensor(np.full((2, 2, 2), 40.0)), [k], [v],
-                       similarity="paper-literal")
-    assert np.isfinite(y.data).all()
-
-
-def test_key_scaling_flag_changes_scores():
+def test_attention_is_the_softmax_of_scores_scaled_by_root_key_width():
     rng = np.random.default_rng(4)
-    keys = [Tensor(rng.standard_normal((8, 3, 3)))]
-    values = [Tensor(rng.standard_normal((4, 3, 3)))]
+    keys = [Tensor(rng.standard_normal((8, 3, 3))) for _ in range(2)]
+    values = [Tensor(rng.standard_normal((4, 3, 3))) for _ in range(2)]
     query = Tensor(rng.standard_normal((8, 3, 3)))
-    _, a_scaled = attention_read(query, keys, values, return_attention=True)
-    _, a_raw = attention_read(query, keys, values, key_scaling=False,
-                              return_attention=True)
-    assert not np.allclose(a_scaled.data, a_raw.data)
+    _, attention = attention_read(query, keys, values, return_attention=True)
+    scores = query.data.reshape(8, 9).T @ np.concatenate(
+        [k.data.reshape(8, 9) for k in keys], axis=1) / np.sqrt(8)
+    expect = np.exp(scores - scores.max(axis=1, keepdims=True))
+    assert np.allclose(attention.data, expect / expect.sum(axis=1, keepdims=True),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_memory_read_gradients():
@@ -190,32 +182,37 @@ def random_read(rng, t, h, w, ck=8, cv=32, magnitude=1.0):
     return query, keys, values
 
 
-def dense_read(query, keys, values, **kwargs):
+def dense_read(query, keys, values):
     """The taped read, which always takes the dense Tensor path."""
     with Tape():
-        return attention_read(Tensor(query.data, requires_grad=True), keys, values,
-                              **kwargs).data
+        return attention_read(Tensor(query.data, requires_grad=True), keys, values).data
+
+
+def chunked_read(query, keys, values, under_tape):
+    """The untaped read; a tape with no grad inputs records nothing either."""
+    with Tape() if under_tape else contextlib.nullcontext():
+        out = attention_read(query, keys, values)
+    assert not out.requires_grad
+    return out.data
 
 
 def entries_per_chunk(h, w):
     return max(1, CHUNK_SCORES // (h * w) ** 2)
 
 
-@pytest.mark.parametrize("key_scaling", [True, False])
+@pytest.mark.parametrize("under_tape", [True, False])
 @pytest.mark.parametrize("t,h,w", [(1, 16, 16), (15, 8, 8), (16, 8, 8), (5, 4, 4),
                                    (7, 3, 5), (1, 20, 20)])
-def test_one_chunk_read_is_bitwise_dense(t, h, w, key_scaling):
+def test_one_chunk_read_is_bitwise_dense(t, h, w, under_tape):
     assert t <= entries_per_chunk(h, w)
     query, keys, values = random_read(np.random.default_rng(10), t, h, w)
-    out = attention_read(query, keys, values, key_scaling=key_scaling)
-    assert not out.requires_grad
-    assert out.data.tobytes() == dense_read(query, keys, values,
-                                            key_scaling=key_scaling).tobytes()
+    out = chunked_read(query, keys, values, under_tape)
+    assert out.tobytes() == dense_read(query, keys, values).tobytes()
 
 
-def assert_close_to_dense(query, keys, values, key_scaling):
-    out = attention_read(query, keys, values, key_scaling=key_scaling).data
-    dense = dense_read(query, keys, values, key_scaling=key_scaling)
+def assert_close_to_dense(query, keys, values, under_tape):
+    out = chunked_read(query, keys, values, under_tape)
+    dense = dense_read(query, keys, values)
     if len(keys) <= entries_per_chunk(*query.shape[1:]):
         assert out.tobytes() == dense.tobytes()
     # every output is a convex combination of value vectors, so the largest
@@ -226,16 +223,16 @@ def assert_close_to_dense(query, keys, values, key_scaling):
 
 @settings(max_examples=60, deadline=None)
 @given(t=st.integers(1, 40), h=st.integers(1, 20), w=st.integers(1, 20),
-       key_scaling=st.booleans(), magnitude=st.floats(1e-3, 10.0),
+       under_tape=st.booleans(), magnitude=st.floats(1e-3, 10.0),
        seed=st.integers(0, 2**32 - 1))
-def test_chunked_read_matches_dense(t, h, w, key_scaling, magnitude, seed):
+def test_chunked_read_matches_dense(t, h, w, under_tape, magnitude, seed):
     query, keys, values = random_read(np.random.default_rng(seed), t, h, w, ck=2, cv=4,
                                       magnitude=magnitude)
-    assert_close_to_dense(query, keys, values, key_scaling)
+    assert_close_to_dense(query, keys, values, under_tape)
 
 
-@pytest.mark.parametrize("key_scaling", [True, False])
-def test_chunked_read_rescales_when_a_later_chunk_holds_the_row_max(key_scaling):
+@pytest.mark.parametrize("under_tape", [True, False])
+def test_chunked_read_rescales_when_a_later_chunk_holds_the_row_max(under_tape):
     # positive query and keys, key t scaled by t + 1: every chunk raises the
     # running row max, so every chunk after the first rescales the sums
     rng = np.random.default_rng(11)
@@ -244,7 +241,7 @@ def test_chunked_read_rescales_when_a_later_chunk_holds_the_row_max(key_scaling)
     values = [Tensor(rng.standard_normal((32, 16, 16))) for _ in range(6)]
     query = Tensor(rng.uniform(0.0, 1.0, (8, 16, 16)))
     assert entries_per_chunk(16, 16) == 1
-    assert_close_to_dense(query, keys, values, key_scaling)
+    assert_close_to_dense(query, keys, values, under_tape)
 
 
 def read_peak_bytes(t):
@@ -293,15 +290,9 @@ def test_tape_without_grad_inputs_takes_the_chunked_path(softmax_calls):
     assert not out.requires_grad and not tape.nodes and not softmax_calls
 
 
-@pytest.mark.parametrize("kwargs", [dict(return_attention=True),
-                                    dict(similarity="paper-literal")])
-def test_attention_and_paper_literal_reads_stay_dense(kwargs, softmax_calls):
+def test_read_returning_attention_stays_dense(softmax_calls):
     query, keys, values = random_read(np.random.default_rng(15), 3, 16, 16)
-    out = attention_read(query, keys, values, **kwargs)
-    if kwargs.get("return_attention"):
-        out, attention = out
-        assert attention.shape == (256, 3 * 256)
+    out, attention = attention_read(query, keys, values, return_attention=True)
+    assert attention.shape == (256, 3 * 256)
     assert softmax_calls == [(256, 3 * 256)]
-    similarity = kwargs.get("similarity", "standard")
-    assert out.data.tobytes() == dense_read(query, keys, values,
-                                            similarity=similarity).tobytes()
+    assert out.data.tobytes() == dense_read(query, keys, values).tobytes()
