@@ -13,7 +13,10 @@ Saving quantizes the in-memory parameters to their float32 values, so a
 model that has just been saved is bitwise identical to its reload and
 evaluation metrics survive the round trip unchanged. Loading checks the
 blob against its recorded sha256, so a flipped bit is refused; a
-checkpoint written before the hash was recorded loads unchecked.
+checkpoint written before the hash was recorded loads unchecked. Text
+that is not UTF-8, a malformed manifest line and a ``state.txt`` that is
+not a JSON object with an integer step are refused as well; every
+refusal is a ``ValidationError`` naming the file.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_to_text, load_config
+from .config import RunConfig, config_to_text, load_config, read_text
 from .errors import ValidationError
 from .model import SegmentationModel
 
@@ -59,9 +62,9 @@ def save_checkpoint(path, model: SegmentationModel, run_config: RunConfig,
     (path / STATE).write_text(json.dumps(state, indent=1) + "\n")
 
 
-def _parse_manifest(text: str) -> list[tuple[str, tuple[int, ...], int]]:
+def _parse_manifest(path: Path) -> list[tuple[str, tuple[int, ...], int]]:
     entries = []
-    for line in text.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -69,10 +72,22 @@ def _parse_manifest(text: str) -> list[tuple[str, tuple[int, ...], int]]:
             name, rest = line.split(" = ", 1)
             shape_part, offset_part = rest.split(" @ ", 1)
             shape = tuple(int(d) for d in shape_part.split("x"))
+            if min(shape) < 0:
+                raise ValueError("negative dimension")
             entries.append((name, shape, int(offset_part)))
         except ValueError as exc:
-            raise ValidationError(f"malformed manifest line: {line!r}") from exc
+            raise ValidationError(f"malformed line in {path}: {line!r}") from exc
     return entries
+
+
+def _parse_state(path: Path) -> dict:
+    try:
+        state = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict) or type(state.get("step")) is not int:
+        raise ValidationError(f"{path} must hold a JSON object with an integer step")
+    return state
 
 
 def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | None]:
@@ -90,7 +105,7 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
     blob = (path / BLOB).read_bytes()
     arrays = {}
     end = 0   # the tensors must tile the blob: no gap, overlap or trailing bytes
-    for name, shape, offset in _parse_manifest((path / MANIFEST).read_text()):
+    for name, shape, offset in _parse_manifest(path / MANIFEST):
         if offset != end:
             raise ValidationError(
                 f"checkpoint manifest puts tensor {name} at byte {offset}, expected {end}")
@@ -104,9 +119,9 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
     if end != len(blob):
         raise ValidationError(
             f"checkpoint blob has {len(blob) - end} bytes after its last tensor")
-    state = json.loads((path / STATE).read_text())
+    state = _parse_state(path / STATE)
     recorded = state.get("params_sha256")
     if recorded is not None and hashlib.sha256(blob).hexdigest() != recorded:
         raise ValidationError(f"checkpoint {BLOB} does not match the sha256 in {STATE}")
     model.load_parameter_data(arrays)
-    return model, run_config, int(state.get("step", 0)), state.get("rng")
+    return model, run_config, state["step"], state.get("rng")

@@ -165,8 +165,17 @@ def config_from_text(text: str, source: str = "<string>") -> RunConfig:
     return cfg
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; other bytes are a ValidationError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: byte {exc.start} "
+                              f"is {exc.object[exc.start]:#04x}") from exc
+
+
 def load_config(path) -> RunConfig:
-    return config_from_text(Path(path).read_text(), source=str(path))
+    return config_from_text(read_text(path), source=str(path))
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -16,10 +16,13 @@ There are two ways to compute a read:
   1805.02867; Rabe & Staats, arXiv 2112.05682). A chunk's score block
   holds at most ``CHUNK_SCORES`` elements, and at least one entry, so
   memory does not grow with the number of entries, and only one chunk's
-  keys and values are ever concatenated. Each chunk is normalized by the
-  running sum before it is mixed, so a read that fits in one chunk runs
-  the same float operations as the dense read and is bitwise equal to
-  it; a longer read agrees with it to rounding.
+  keys and values are ever concatenated. A read that fits in one chunk
+  runs the same float operations as the dense read and is bitwise equal
+  to it. A longer read scales the query by 1/sqrt(C/8) once, mixes each
+  chunk's unnormalized exponentials into the output, and divides by the
+  row sum once after the last chunk (FlashAttention-2, Dao, arXiv
+  2307.08691), so each score block takes six passes: GEMM, max,
+  subtract, exp, sum, GEMM. It agrees with the dense read to rounding.
 * Every other read stays on the dense ``Tensor`` path over the whole
   (h*w, T*h*w) score matrix: taped reads, whose backward needs the full
   attention (in training the memory holds at most two entries), and
@@ -113,6 +116,10 @@ def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -
     cv, hw = values[0].shape[0], h * w
     query = np.ascontiguousarray(query_key.data.reshape(ck, hw).T)     # (hw, C/8)
     per_chunk = max(1, CHUNK_SCORES // (hw * hw))
+    scale = 1.0 / np.sqrt(ck)
+    one_chunk = len(keys) <= per_chunk
+    if not one_chunk:   # scale the query once, not every score block
+        query = query * scale
     mixed = row_max = row_sum = None
     for start in range(0, len(keys), per_chunk):
         chunk = slice(start, start + per_chunk)
@@ -120,23 +127,26 @@ def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -
         chunk_values = np.ascontiguousarray(     # (n*hw, C/2)
             np.concatenate([v.data.reshape(cv, hw) for v in values[chunk]], axis=1).T)
         scores = query @ chunk_keys                                     # (hw, n*hw)
-        scores *= 1.0 / np.sqrt(ck)
+        if one_chunk:
+            scores *= scale
         new_max = scores.max(axis=1, keepdims=True)
         if mixed is not None:
             new_max = np.maximum(row_max, new_max)
         scores -= new_max
         np.exp(scores, out=scores)
-        if mixed is None:   # the dense read's exact operations
-            row_sum = scores.sum(axis=1, keepdims=True)
-            scores /= row_sum
-            mixed = scores @ chunk_values                               # (hw, C/2)
+        chunk_sum = scores.sum(axis=1, keepdims=True)
+        if one_chunk:       # the dense read's exact operations
+            scores /= chunk_sum
+        if mixed is None:
+            row_sum, mixed = chunk_sum, scores @ chunk_values           # (hw, C/2)
         else:
-            carried = row_sum * np.exp(row_max - new_max)
-            row_sum = carried + scores.sum(axis=1, keepdims=True)
-            scores /= row_sum
-            mixed *= carried / row_sum
+            carried = np.exp(row_max - new_max)
+            row_sum = row_sum * carried + chunk_sum
+            mixed *= carried
             mixed += scores @ chunk_values
         row_max = new_max
+    if not one_chunk:       # normalize once, after the last chunk
+        mixed /= row_sum
     return Tensor(np.ascontiguousarray(mixed.T).reshape(cv, h, w))
 
 

@@ -1,6 +1,7 @@
 """The paired-benchmark summary of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,51 @@ def test_seed_lists():
     assert bench_pairs.parse_seeds("101-104") == [101, 102, 103, 104]
     assert bench_pairs.parse_seeds("3,5,7") == [3, 5, 7]
     assert bench_pairs.parse_seeds("1-3,9") == [1, 2, 3, 9]
+
+
+def traced_result(correct=True, **values):
+    return {"correct": correct,
+            "metrics": {k.replace("_", "."): {"value": v, "unit": "ms"}
+                        for k, v in values.items()}}
+
+
+def test_traced_summary_keeps_every_run_and_each_sides_median():
+    pairs = [{"parent": traced_result(memory_read=10.0, conv=5.0),
+              "change": traced_result(memory_read=8.0, conv=5.1)},
+             {"parent": traced_result(memory_read=12.0, conv=4.9),
+              "change": traced_result(memory_read=7.0)},
+             {"parent": traced_result(memory_read=11.0, conv=5.2),
+              "change": traced_result(False, memory_read=9.0, conv=5.3)}]
+    summary = bench_pairs.summarize_traced(pairs)
+    assert (summary["pairs"], summary["runs_not_correct"]) == (3, 1)
+    read = summary["per_unit"]["memory.read"]
+    assert read == {"unit": "ms",
+                    "parent": {"median": 11.0, "runs": [10.0, 12.0, 11.0]},
+                    "change": {"median": 8.0, "runs": [8.0, 7.0, 9.0]}}
+    conv = summary["per_unit"]["conv"]
+    assert conv["change"] == {"median": 5.2, "runs": [5.1, 5.3]}   # one run lacks it
+
+
+def test_traced_pairs_alternate_and_land_under_traced(tmp_path, monkeypatch):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"end_to_end": [], "run_seconds": 1}')
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        return traced_result(read_ms=float(seed + (checkout.name == "change")))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "long128",
+                             "--seeds", "1", "--trace-seed", "7-9", "--out", str(out)]) == 0
+    assert [c for c in calls if c[2] == 1] == [
+        ("parent", 7, 1), ("change", 7, 1), ("change", 8, 1), ("parent", 8, 1),
+        ("parent", 9, 1), ("change", 9, 1)]
+    traced = json.loads(out.read_text())["traced"]["long128"]
+    assert traced["seeds"] == [7, 8, 9]
+    assert traced["per_unit"]["read.ms"]["change"] == {"median": 9.0,
+                                                       "runs": [8.0, 9.0, 10.0]}

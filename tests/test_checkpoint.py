@@ -1,9 +1,13 @@
 """Checkpoint persistence: manifest + float32 blob round trips."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lesionseg.checkpoint import (BLOB, CONFIG, MANIFEST, STATE,
                                   load_checkpoint, save_checkpoint)
@@ -190,3 +194,56 @@ def test_architecture_comes_from_the_stored_config(tmp_path):
     loaded, loaded_cfg, _, _ = load_checkpoint(tmp_path / "ck")
     assert loaded_cfg.use_msff is False
     assert loaded.parameters().keys() == model.parameters().keys()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """One small checkpoint with an rng state, and its parameters."""
+    ck = tmp_path_factory.mktemp("fuzz") / "ck"
+    model = small_model(seed=5)
+    save_checkpoint(ck, model, SMALL, step=9, rng=np.random.default_rng(4))
+    return ck, {name: p.data.copy() for name, p in model.parameters().items()}
+
+
+def _truncate(data: bytes, draw) -> bytes:
+    return data[:draw(st.integers(0, len(data)))]
+
+
+def _extend(data: bytes, draw) -> bytes:
+    return data + draw(st.binary(min_size=1, max_size=64))
+
+
+def _flip_bit(data: bytes, draw) -> bytes:
+    bit = draw(st.integers(0, 8 * len(data) - 1))
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _replace_byte(data: bytes, draw) -> bytes:
+    out = bytearray(data)
+    out[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+MUTANTS = [(BLOB, _truncate), (BLOB, _extend), (BLOB, _flip_bit),
+           (MANIFEST, _truncate), (MANIFEST, _replace_byte), (STATE, _truncate)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutant=st.sampled_from(MUTANTS), data=st.data())
+def test_a_corrupted_checkpoint_is_refused_or_loads_unchanged(saved, mutant, data):
+    ck, params = saved
+    name, mutate = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "ck"
+        shutil.copytree(ck, copy)
+        (copy / name).write_bytes(mutate((ck / name).read_bytes(), data.draw))
+        try:
+            loaded, cfg, step, rng_state = load_checkpoint(copy)
+        except ValidationError:
+            return
+    assert (cfg, step) == (SMALL, 9)
+    assert rng_state == np.random.default_rng(4).bit_generator.state
+    for pname, value in params.items():
+        assert loaded.parameters()[pname].data.tobytes() == value.tobytes(), pname

@@ -265,6 +265,33 @@ def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.tsv").exists()
 
 
+UNPARSABLE = {   # file, and what the corruption makes of its bytes
+    "state-truncated": ("state.txt", lambda b: b[:20]),
+    "state-list": ("state.txt", lambda b: b"[1]\n"),
+    "state-step-text": ("state.txt", lambda b: b'{"step": "x"}\n'),
+    "state-step-bool": ("state.txt", lambda b: b'{"step": true}\n'),
+    "state-no-step": ("state.txt", lambda b: b"{}\n"),
+    "state-not-utf8": ("state.txt", lambda b: b"\xff" + b),
+    "manifest-not-utf8": ("manifest.txt", lambda b: b"\xff" + b),
+    "manifest-negative-dim": ("manifest.txt", lambda b: b.replace(b" = ", b" = -", 1)),
+    "config-not-utf8": ("config.ini", lambda b: b"\xff" + b),
+}
+
+
+@pytest.mark.parametrize("case", UNPARSABLE)
+def test_eval_of_a_checkpoint_with_unparsable_text_exits_2(pipeline, tmp_path, capsys, case):
+    name, corrupt = UNPARSABLE[case]
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    (ckpt / name).write_bytes(corrupt((ckpt / name).read_bytes()))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
+               "--split", "val"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "out" / "metrics.tsv").exists()
+
+
 @pytest.mark.parametrize("line", ["similarity = paper-literal", "key_scaling = false",
                                   "key_from_gated = true", "use_current_value = true",
                                   "hard_prior = true"])

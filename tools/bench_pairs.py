@@ -1,14 +1,16 @@
 """Run alternating benchmark pairs on a parent and a change checkout.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload eval64 \
-        --seeds 101-110 --out BENCH_label.json [--trace-seed 131]
+        --seeds 101-110 --out BENCH_label.json [--trace-seed 131-133]
 
 For each seed it runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, with T the
 ``run_seconds`` of the change's BENCHMARK.json, one run at a time, with the
 parent first on even pairs and the change first on odd pairs, so a drift
-in host speed lands on both sides. With ``--trace-seed`` it adds one
-``--trace 1`` run per side and keeps its per-unit layer metrics.
+in host speed lands on both sides. ``--trace-seed`` takes a seed list
+in the same form and adds one ``--trace 1`` pair per seed, run in the
+same alternating order; every traced run's per-unit layer metrics are
+kept, with each side's median per metric.
 
 The summary goes into ``--out`` under ``workloads.<W>`` (and
 ``traced.<W>``); entries for other workloads already in the file are
@@ -101,6 +103,48 @@ def _rounded(metric: dict | None) -> float | None:
     return None if metric is None else round(metric["value"], 3)
 
 
+def summarize_traced(pairs: list[dict]) -> dict:
+    """Per-unit layer metrics of traced pairs: each side's runs and median.
+
+    A metric's runs on a side are the values of the runs that report it,
+    in seed order.
+    """
+    units = {}
+    for pair in pairs:
+        for side in SIDES:
+            for name, metric in pair[side].get("metrics", {}).items():
+                units.setdefault(name, metric["unit"])
+    per_unit = {}
+    for name, unit in units.items():
+        per_unit[name] = {"unit": unit}
+        for side in SIDES:
+            runs = [_rounded(p[side]["metrics"].get(name)) for p in pairs
+                    if name in p[side].get("metrics", {})]
+            per_unit[name][side] = {
+                "median": round(statistics.median(runs), 3) if runs else None,
+                "runs": runs}
+    return {"pairs": len(pairs),
+            "runs_not_correct": sum(not p[s]["correct"] for p in pairs for s in SIDES),
+            "per_unit": per_unit}
+
+
+def run_pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float,
+              trace: int) -> list[dict]:
+    """One run per side and seed, alternating which side goes first."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {side: run_once(checkouts[side], workload, seed, seconds, trace)
+                for side in order}
+        pairs.append(pair)
+        # a traced run reports layer metrics only, no throughput
+        print(f"{'traced ' if trace else ''}{workload} seed {seed}: " + "  ".join(
+            f"{side} correct {pair[side]['correct']}" if trace else
+            f"{side} throughput {_rounded(pair[side]['metrics'].get('throughput'))}"
+            for side in SIDES), flush=True)
+    return pairs
+
+
 def _environment(checkout: Path, workload: str) -> dict:
     path = checkout / ".perfbench" / workload / "environment.json"
     return json.loads(path.read_text()) if path.is_file() else {}
@@ -112,22 +156,15 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--trace-seed", type=parse_seeds, default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     specs, seconds = bench["end_to_end"], bench["run_seconds"]
 
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run_once(checkouts[side], args.workload, seed, seconds, 0)
-                for side in order}
-        pairs.append(pair)
-        print(f"{args.workload} seed {seed}: " + "  ".join(
-            f"{side} throughput {_rounded(pair[side]['metrics'].get('throughput'))}"
-            for side in SIDES), flush=True)
+    pairs = run_pairs(checkouts, args.workload, args.seeds, seconds, 0)
+    traced = run_pairs(checkouts, args.workload, args.trace_seed, seconds, 1)
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     envs = {side: _environment(checkouts[side], args.workload) for side in SIDES}
@@ -141,19 +178,12 @@ def main(argv=None) -> int:
         "which side runs first (even pairs parent first); median and quartiles (inclusive "
         "method) over each side's runs; change_better_in_pairs counts pairs where the "
         "change's value is better in the metric's direction; parent_iqr is q3 - q1 of the "
-        "parent's runs; written by tools/bench_pairs.py")
+        "parent's runs; traced.W holds --trace 1 pairs run the same way, with each side's "
+        "per-unit layer metrics per run and their median; written by tools/bench_pairs.py")
     doc.setdefault("workloads", {})[args.workload] = {"seeds": args.seeds, **summarize(pairs, specs)}
-    if args.trace_seed is not None:
-        traced = {side: run_once(checkouts[side], args.workload, args.trace_seed,
-                                 seconds, 1) for side in SIDES}
+    if traced:
         doc.setdefault("traced", {})[args.workload] = {
-            "seed": args.trace_seed,
-            "correct": {side: traced[side]["correct"] for side in SIDES},
-            "per_unit": {name: {"unit": m["unit"],
-                                **{side: _rounded(traced[side]["metrics"].get(name))
-                                   for side in SIDES}}
-                         for name, m in traced["change"]["metrics"].items()},
-        }
+            "seeds": args.trace_seed, **summarize_traced(traced)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
