@@ -60,12 +60,11 @@ class Initializer:
 class Conv:
     """A conv2d layer bundling weight, bias and its fixed geometry."""
 
-    def __init__(self, init: Initializer, cin: int, cout: int, k: int,
-                 stride: int = 1, padding: int | None = None):
+    def __init__(self, init: Initializer, cin: int, cout: int, k: int, stride: int = 1):
         self.weight = init.conv(cout, cin, k, k)
         self.bias = Initializer.bias(cout)
         self.stride = stride
-        self.padding = k // 2 if padding is None else padding
+        self.padding = k // 2
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)

@@ -11,7 +11,9 @@ Layout of a checkpoint directory::
 
 Saving quantizes the in-memory parameters to their float32 values, so a
 model that has just been saved is bitwise identical to its reload and
-evaluation metrics survive the round trip unchanged. Loading checks the
+evaluation metrics survive the round trip unchanged. The four files are
+written into a sibling ``.<name>.partial`` directory that then replaces
+the checkpoint, so a failed save leaves the previous one. Loading checks the
 blob against its recorded sha256, so a flipped bit is refused; a
 checkpoint written before the hash was recorded loads unchecked. Text
 that is not UTF-8, a malformed manifest line and a ``state.txt`` that is
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +44,11 @@ def save_checkpoint(path, model: SegmentationModel, run_config: RunConfig,
                     step: int = 0, rng: np.random.Generator | None = None) -> None:
     """Write the checkpoint directory; quantizes model params to float32."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    staged = path.with_name(f".{path.name}.partial")
+    previous = path.with_name(f".{path.name}.previous")
+    for leftover in (staged, previous):   # from a save that crashed
+        shutil.rmtree(leftover, ignore_errors=True)
+    staged.mkdir(parents=True)
     lines = []
     chunks = []
     offset = 0
@@ -53,13 +60,21 @@ def save_checkpoint(path, model: SegmentationModel, run_config: RunConfig,
         chunks.append(quantized.tobytes())
         offset += quantized.nbytes
     blob = b"".join(chunks)
-    (path / MANIFEST).write_text("".join(lines))
-    (path / BLOB).write_bytes(blob)
-    (path / CONFIG).write_text(config_to_text(run_config))
     state = {"step": int(step), "params_sha256": hashlib.sha256(blob).hexdigest()}
     if rng is not None:
         state["rng"] = rng.bit_generator.state
-    (path / STATE).write_text(json.dumps(state, indent=1) + "\n")
+    try:
+        (staged / MANIFEST).write_text("".join(lines))
+        (staged / BLOB).write_bytes(blob)
+        (staged / CONFIG).write_text(config_to_text(run_config))
+        (staged / STATE).write_text(json.dumps(state, indent=1) + "\n")
+    except BaseException:
+        shutil.rmtree(staged)
+        raise
+    if path.exists():
+        path.rename(previous)
+    staged.rename(path)
+    shutil.rmtree(previous, ignore_errors=True)
 
 
 def _parse_manifest(path: Path) -> list[tuple[str, tuple[int, ...], int]]:

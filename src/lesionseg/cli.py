@@ -21,13 +21,12 @@ from .config import RunConfig, apply_overrides, load_config, save_config
 from .data import load_dataset
 from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, evaluate
-from .fusion import POOLING_MODES
 from .model import TAP_CHOICES
 from .netpbm import write_mask
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
 from .train import smoothed, train
-from .verify import run_all
+from .verify import CRITERIA, run_all
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -37,21 +36,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=None, help="SGD updates to run")
     parser.add_argument("--lr", dest="learning_rate", type=float, default=None)
     parser.add_argument("--momentum", type=float, default=None)
-    parser.add_argument("--pooling", choices=POOLING_MODES, default=None)
     parser.add_argument("--encoder-tap", dest="encoder_tap", type=int,
                         choices=TAP_CHOICES, default=None)
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int,
                         default=None, help="max remembered frames (0 = unlimited)")
     for flag, dest, meaning in (
             ("--no-sfm", "use_sfm", "disable the prior-gated spatial branch"),
-            ("--no-msff", "use_msff", "merge branches by concat + 1x1 conv"),
-            ("--no-prior-mask-mapping", "prior_mask_mapping",
-             "skip multiplying the previous mask onto the current frame")):
+            ("--no-msff", "use_msff", "merge branches by concat + 1x1 conv")):
         parser.add_argument(flag, dest=dest, action="store_const", const=False,
                             default=None, help=meaning)
-    parser.add_argument("--teacher-forcing", dest="teacher_forcing", action="store_const",
-                        const=True, default=None,
-                        help="update state with ground-truth masks during training")
 
 
 def _effective_config(args) -> RunConfig:
@@ -165,7 +158,12 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     numbers = None
     if args.only:
-        numbers = sorted(int(n) for n in args.only.split(","))
+        valid = [str(number) for number, _, _ in CRITERIA]
+        words = [w.strip() for w in args.only.split(",")]
+        if not set(words) <= set(valid):
+            raise ValidationError(f"--only takes comma-separated criterion numbers "
+                                  f"{valid[0]}-{valid[-1]}, got {args.only!r}")
+        numbers = sorted(map(int, words))
     results = run_all(workdir=args.workdir, log=print, numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 

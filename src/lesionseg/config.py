@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
+from .fusion import FC_REDUCTION
 from .model import ModelConfig
 
 
@@ -36,7 +37,6 @@ class RunConfig(ModelConfig):
     steps: int = _in("train", 200)
     log_every: int = _in("train", 20)
     loss_window: int = _in("train", 20)
-    teacher_forcing: bool = _in("train", False)
     seed: int = _in("run", 0)
 
     def __post_init__(self):
@@ -68,6 +68,10 @@ _RETIRED = {
     "key_from_gated": ("model", False),
     "use_current_value": ("model", False),
     "hard_prior": ("model", False),
+    "pooling": ("model", "both"),
+    "prior_mask_mapping": ("model", True),
+    "fc_reduction": ("model", FC_REDUCTION),
+    "teacher_forcing": ("train", False),
 }
 
 

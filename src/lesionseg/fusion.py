@@ -2,9 +2,10 @@
 statistics, then a weighted sum of the temporal, spatial, and coarse
 encoder branches.
 
-Channel weights are squeeze-excitation style: global pooling reduces each
-branch to per-channel statistics, two dense layers map them to a weight
-vector in (0, 1), and the weights broadcast back over the spatial dims.
+Channel weights are squeeze-excitation style: global avg and max pooling
+reduce each branch to per-channel statistics, two dense layers with a
+4-fold bottleneck map them to weights in (0, 1), and the weights
+broadcast back over the spatial dims.
 The coarse branch is lifted to the common channel width by a 1x1
 convolution before weighting, since the weighted sum needs equal widths.
 """
@@ -15,21 +16,16 @@ from .autodiff import Tensor, concat, linear, mul, pool2d, relu, reshape, sigmoi
 from .backbone import Conv, Initializer, _flatten_params
 from .errors import ShapeError
 
-POOLING_MODES = ("max", "avg", "both")
+FC_REDUCTION = 4   # hidden width of a head is channels // FC_REDUCTION
 
 
 class FcHead:
     """Two dense layers mapping pooled statistics to weights in (0, 1)."""
 
-    def __init__(self, init: Initializer, channels: int, pooling: str = "both",
-                 reduction: int = 4):
-        if pooling not in POOLING_MODES:
-            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+    def __init__(self, init: Initializer, channels: int):
         self.channels = channels
-        self.pooling = pooling
-        nin = 2 * channels if pooling == "both" else channels
-        hidden = max(1, channels // reduction)
-        self.w1 = init.dense(hidden, nin)
+        hidden = max(1, channels // FC_REDUCTION)
+        self.w1 = init.dense(hidden, 2 * channels)
         self.b1 = Initializer.bias(hidden)
         self.w2 = init.dense(channels, hidden)
         self.b2 = Initializer.bias(channels)
@@ -39,13 +35,10 @@ class FcHead:
 
 
 def channel_weights(x: Tensor, head: FcHead) -> Tensor:
-    """Pooled statistics of a (C', h, w) map -> per-channel weights (C',)."""
+    """Avg- and max-pooled statistics of a (C', h, w) map -> weights (C',)."""
     if x.ndim != 3 or x.shape[0] != head.channels:
         raise ShapeError(f"feature shape {x.shape} does not match head width {head.channels}")
-    if head.pooling == "both":
-        stats = concat([pool2d(x, "avg"), pool2d(x, "max")], axis=0)
-    else:
-        stats = pool2d(x, head.pooling)
+    stats = concat([pool2d(x, "avg"), pool2d(x, "max")], axis=0)
     hidden = relu(linear(stats, head.w1, head.b1))
     return sigmoid(linear(hidden, head.w2, head.b2))
 
@@ -64,12 +57,11 @@ def weighted_sum(features: list[Tensor], weights: list[Tensor]) -> Tensor:
 class WeightedFusion:
     """The fusion block: three branch heads plus the coarse-lift projection."""
 
-    def __init__(self, init: Initializer, value_channels: int, coarse_channels: int,
-                 pooling: str = "both", reduction: int = 4):
+    def __init__(self, init: Initializer, value_channels: int, coarse_channels: int):
         self.lift = Conv(init, coarse_channels, value_channels, 1)
-        self.head_temporal = FcHead(init, value_channels, pooling, reduction)
-        self.head_spatial = FcHead(init, value_channels, pooling, reduction)
-        self.head_coarse = FcHead(init, value_channels, pooling, reduction)
+        self.head_temporal = FcHead(init, value_channels)
+        self.head_spatial = FcHead(init, value_channels)
+        self.head_coarse = FcHead(init, value_channels)
 
     def fuse(self, temporal: Tensor, spatial: Tensor | None, coarse: Tensor) -> Tensor:
         """Weighted sum of the available branches at (C/2, h, w)."""

@@ -1,12 +1,12 @@
 """Model assembly: encoder, decoder, coarse tap, and the fusion stage,
 wired according to a ModelConfig.
 
-The config controls which branches exist. The temporal branch is always
-on. The spatial branch and the weighted fusion are toggleable; with the
-weighting disabled the branches are merged by concat + 1x1 conv, and
-with the spatial branch also disabled the temporal read feeds the
-decoder directly. Parameter creation order is fixed by construction
-order, so (config, seed) fully determines the initial weights.
+The config sets the stage widths, the coarse tap and the memory size,
+and which branches exist. The temporal branch is always on. The spatial
+branch and the weighted fusion are toggleable; with the weighting off
+the branches merge by concat + 1x1 conv, and with the spatial branch
+also off the temporal read feeds the decoder directly. Construction
+order fixes parameter order, so (config, seed) fixes the initial weights.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import Conv, Decoder, Encoder, Initializer, _flatten_params
 from .errors import ValidationError
-from .fusion import POOLING_MODES, ConcatReduce, WeightedFusion
+from .fusion import ConcatReduce, WeightedFusion
 
 TAP_CHOICES = (2, 3, 4)
 
@@ -30,11 +30,8 @@ class ModelConfig:
     stage_channels: tuple[int, ...] = (16, 32, 64)
     use_sfm: bool = True            # spatial branch (prior-gated read)
     use_msff: bool = True           # weighted multi-branch fusion
-    pooling: str = "both"
     encoder_tap: int = 4            # 4 = last stage, 3 = second last, 2 = third last
-    prior_mask_mapping: bool = True
     memory_capacity: int = 0        # 0 means unlimited
-    fc_reduction: int = 4
 
     def __post_init__(self):
         if not self.stage_channels:
@@ -42,15 +39,11 @@ class ModelConfig:
         if self.feature_channels % 8 != 0:
             raise ValidationError(
                 f"the last stage width {self.feature_channels} must be divisible by 8")
-        if self.pooling not in POOLING_MODES:
-            raise ValidationError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.encoder_tap not in TAP_CHOICES:
             raise ValidationError(f"encoder_tap must be one of {TAP_CHOICES}, got {self.encoder_tap}")
         if self.memory_capacity < 0:
             raise ValidationError(
                 f"memory_capacity must be >= 0 (0 means unlimited), got {self.memory_capacity}")
-        if self.fc_reduction < 1:
-            raise ValidationError(f"fc_reduction must be >= 1, got {self.fc_reduction}")
         if self.tap_stage_index < 0:
             raise ValidationError(
                 f"encoder_tap {self.encoder_tap} needs at least {5 - self.encoder_tap} "
@@ -94,9 +87,8 @@ class SegmentationModel:
             idx = cfg.tap_stage_index
             tap_stride = cfg.total_stride // (2 ** (idx + 1))
             self.tap_proj = Conv(init, cfg.stage_channels[idx], cfg.key_channels, 1,
-                                 stride=tap_stride, padding=0)
-            self.fusion = WeightedFusion(init, cfg.value_channels, cfg.key_channels,
-                                         cfg.pooling, cfg.fc_reduction)
+                                 stride=tap_stride)
+            self.fusion = WeightedFusion(init, cfg.value_channels, cfg.key_channels)
         elif cfg.use_sfm:
             self.reduce = ConcatReduce(init, cfg.value_channels)
 

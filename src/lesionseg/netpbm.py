@@ -17,7 +17,7 @@ from .errors import ValidationError
 _WHITESPACE = b" \t\r\n"
 
 
-def _read_token(stream: io.BufferedIOBase) -> bytes:
+def _read_token(stream: io.BufferedIOBase, path: Path) -> bytes:
     """Next header token, skipping whitespace and '#' comments."""
     token = b""
     while True:
@@ -25,7 +25,7 @@ def _read_token(stream: io.BufferedIOBase) -> bytes:
         if not ch:
             if token:
                 return token
-            raise ValueError("unexpected end of netpbm header")
+            raise ValidationError(f"{path}: unexpected end of netpbm header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = stream.read(1)
@@ -41,22 +41,24 @@ def read_netpbm(path: str | Path) -> np.ndarray:
     """Read a binary PGM/PPM file.
 
     Returns a float64 array in [0, 1]: shape (H, W) for P5 and (H, W, 3)
-    for P6.
+    for P6. A malformed file is a ValidationError naming it.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        magic = _read_token(fh)
+        magic = _read_token(fh, path)
         if magic not in (b"P5", b"P6"):
-            raise ValueError(f"{path}: unsupported netpbm magic {magic!r} (want P5 or P6)")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+            raise ValidationError(f"{path}: unsupported netpbm magic {magic!r} (want P5 or P6)")
+        header = [_read_token(fh, path) for _ in range(3)]
+        if not all(token.isdigit() for token in header):
+            raise ValidationError(f"{path}: netpbm width, height and maxval {header} "
+                                  "must be non-negative integers")
+        width, height, maxval = map(int, header)
         if not 0 < maxval < 256:
-            raise ValueError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
+            raise ValidationError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
         channels = 3 if magic == b"P6" else 1
         payload = fh.read(width * height * channels)
         if len(payload) != width * height * channels:
-            raise ValueError(f"{path}: truncated pixel data")
+            raise ValidationError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
     if channels == 3:
         return pixels.reshape(height, width, 3)

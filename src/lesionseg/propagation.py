@@ -2,11 +2,11 @@
 predict every later frame from the memory read, the prior-gated spatial
 read, and the coarse encoder tap.
 
-The same step function serves training and inference. State updates use
-the soft predicted mask, so gradients can flow from a later frame's loss
-into an earlier prediction; `update_mask` replaces it (teacher forcing).
-The spatial read takes its key from the previous frame's ungated encode,
-and the decoder takes the fused feature with the current frame's skips.
+The same step function serves training and inference. The previous soft
+mask gates the current frame for the spatial read, whose key comes from
+the previous frame's ungated encode. State updates use the model's own
+soft prediction, so a later frame's loss reaches earlier predictions.
+The decoder takes the fused feature with the current frame's skips.
 """
 
 from __future__ import annotations
@@ -50,32 +50,25 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
     return PropagationState(memory=memory, prior=prior, frame_index=1)
 
 
-def step(model: SegmentationModel, state: PropagationState, frame: Tensor,
-         update_mask: Tensor | None = None) -> tuple[PropagationState, Tensor]:
+def step(model: SegmentationModel, state: PropagationState,
+         frame: Tensor) -> tuple[PropagationState, Tensor]:
     """Predict one frame and fold it into the propagation state.
 
-    Returns the advanced state and the (1, H, W) probability map. When
-    `update_mask` is given (teacher forcing) it replaces the prediction
-    in the memory append and the next prior.
+    Returns the advanced state and the (1, H, W) probability map, which
+    is also the mask of the memory append and the next prior.
     """
-    cfg = model.config
     current = model.encoder.encode(frame)
     temporal = memory_read(state.memory, current.key)
     spatial = None
-    if cfg.use_sfm:
-        if cfg.prior_mask_mapping:
-            gate_input = apply_prior(state.prior.prev_mask, frame)
-        else:
-            gate_input = frame
-        gated = model.encoder.encode(gate_input)
+    if model.config.use_sfm:
+        gated = model.encoder.encode(apply_prior(state.prior.prev_mask, frame))
         spatial = spatial_read(current.key, state.prior.prev_key, gated.value)
     fused = model.merge_branches(temporal, spatial, current.skips)
     pred = sigmoid(model.decoder.decode(fused, current.skips))
 
-    state_mask = pred if update_mask is None else update_mask
-    remembered = model.encoder.encode(frame, mask=state_mask)
+    remembered = model.encoder.encode(frame, mask=pred)
     state.memory.append(remembered.key, remembered.value)
-    prior = PriorState(prev_mask=state_mask, prev_key=current.key)
+    prior = PriorState(prev_mask=pred, prev_key=current.key)
     return PropagationState(memory=state.memory, prior=prior,
                             frame_index=state.frame_index + 1), pred
 

@@ -67,13 +67,12 @@ def smoothed(losses: list[float], window: int) -> list[float]:
     return out
 
 
-def clip_loss(model: SegmentationModel, clip: Clip, teacher_forcing: bool):
+def clip_loss(model: SegmentationModel, clip: Clip):
     """Forward one clip and return (loss tensor, per-frame predictions)."""
     state = init(model, clip.frames[0], clip.masks[0])
     preds = []
     for t in (1, 2):
-        forced = clip.masks[t] if teacher_forcing else None
-        state, pred = step(model, state, clip.frames[t], update_mask=forced)
+        state, pred = step(model, state, clip.frames[t])
         preds.append(pred)
     loss = ce_loss(list(zip(preds, clip.masks[1:])))
     return loss, preds
@@ -107,7 +106,7 @@ def train(config: RunConfig, sequences: list[VideoSequence],
         clip = next(streams[int(rng.integers(len(streams)))])
         model.zero_grad()
         with Tape() as tape:
-            loss, _ = clip_loss(model, clip, config.teacher_forcing)
+            loss, _ = clip_loss(model, clip)
             value = loss.item()
             if not np.isfinite(value):
                 tail = ", ".join(f"{v:.4g}" for v in result.losses[-5:])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lesionseg import checkpoint
 from lesionseg.checkpoint import (BLOB, CONFIG, MANIFEST, STATE,
                                   load_checkpoint, save_checkpoint)
 from lesionseg.config import RunConfig
@@ -46,6 +47,40 @@ def test_save_quantizes_in_memory(tmp_path):
         assert (p.data == p.data.astype("<f4").astype(np.float64)).all()
         changed |= not (p.data == before[name]).all()
     assert changed
+
+
+def test_save_replaces_an_existing_checkpoint(tmp_path):
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, small_model(seed=1), SMALL, step=1)
+    (ck / "stray.txt").write_text("left by hand\n")
+    model = small_model(seed=2)
+    save_checkpoint(ck, model, SMALL, step=2)
+    assert sorted(p.name for p in ck.iterdir()) == sorted((BLOB, CONFIG, MANIFEST, STATE))
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    loaded, _, step, _ = load_checkpoint(ck)
+    assert step == 2
+    for name, p in model.parameters().items():
+        assert loaded.parameters()[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_a_save_that_fails_partway_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    ck = tmp_path / "ck"
+    model = small_model(seed=1)
+    save_checkpoint(ck, model, SMALL, step=1)
+    files = {p.name: p.read_bytes() for p in ck.iterdir()}
+
+    def fail(_):   # called after params.bin is written
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(checkpoint, "config_to_text", fail)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(ck, small_model(seed=2), SMALL, step=2)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert {p.name: p.read_bytes() for p in ck.iterdir()} == files
+    loaded, _, step, _ = load_checkpoint(ck)
+    assert step == 1
+    for name, p in model.parameters().items():
+        assert loaded.parameters()[name].data.tobytes() == p.data.tobytes(), name
 
 
 def test_rng_state_resumes_the_stream(tmp_path):

@@ -135,22 +135,20 @@ def test_flags_override_config_file(pipeline, tmp_path):
 
 
 # every config flag with the RunConfig field it sets and a non-default value,
-# the two choice flags once per non-default choice
+# the choice flag once per non-default choice
 CONFIG_FLAGS = [
     (["--data", "/d"], "data_root", "/d"),
     (["--seed", "4"], "seed", 4),
     (["--steps", "9"], "steps", 9),
     (["--lr", "0.25"], "learning_rate", 0.25),
     (["--momentum", "0.5"], "momentum", 0.5),
-    (["--pooling", "avg"], "pooling", "avg"),
+    (["--lr", "1e-3"], "learning_rate", 1e-3),
     (["--encoder-tap", "3"], "encoder_tap", 3),
-    (["--pooling", "max"], "pooling", "max"),
+    (["--memory-capacity", "1"], "memory_capacity", 1),
     (["--memory-capacity", "5"], "memory_capacity", 5),
     (["--no-sfm"], "use_sfm", False),
     (["--no-msff"], "use_msff", False),
     (["--encoder-tap", "2"], "encoder_tap", 2),
-    (["--no-prior-mask-mapping"], "prior_mask_mapping", False),
-    (["--teacher-forcing"], "teacher_forcing", True),
 ]
 
 
@@ -241,6 +239,36 @@ def test_fc_reduction_zero_in_config_file_exits_2(tmp_path, capsys):
     assert "error:" in err and "fc_reduction" in err
 
 
+CORRUPT_FRAMES = {   # what the corruption makes of a frame's bytes
+    "magic": lambda b: b"P7" + b[2:],
+    "header-not-integer": lambda b: b"P5\nforty-eight 48\n255\n" + b.split(b"\n", 3)[3],
+    "truncated": lambda b: b[:-5],
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_FRAMES)
+def test_train_on_a_corrupt_frame_exits_2_naming_it(pipeline, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    seq = (data / "ImageSets" / "train.txt").read_text().split()[0]
+    frame = data / "JPEGImages" / seq / "00001.pgm"
+    frame.write_bytes(CORRUPT_FRAMES[case](frame.read_bytes()))
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "out"), "--steps", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(frame) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("only", ["42", "x", "2,"])
+def test_verify_only_with_no_such_criterion_exits_2(tmp_path, capsys, only):
+    rc = main(["verify", "--only", only, "--workdir", str(tmp_path / "w")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "1-9" in err
+    assert out == "" and not (tmp_path / "w").exists()
+
+
 def test_train_without_data_exits_2(capsys):
     assert main(["train", "--out", "/tmp/nowhere"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -294,13 +322,16 @@ def test_eval_of_a_checkpoint_with_unparsable_text_exits_2(pipeline, tmp_path, c
 
 @pytest.mark.parametrize("line", ["similarity = paper-literal", "key_scaling = false",
                                   "key_from_gated = true", "use_current_value = true",
-                                  "hard_prior = true"])
+                                  "hard_prior = true", "pooling = max",
+                                  "prior_mask_mapping = false", "fc_reduction = 2",
+                                  "teacher_forcing = true"])
 def test_eval_of_a_checkpoint_with_a_retired_switch_set_exits_2(pipeline, tmp_path,
                                                                 capsys, line):
     ckpt = tmp_path / "checkpoint"
     shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
     config = ckpt / "config.ini"
-    config.write_text(config.read_text().replace("[model]\n", f"[model]\n{line}\n"))
+    section = "[train]" if line.startswith("teacher_forcing") else "[model]"
+    config.write_text(config.read_text().replace(f"{section}\n", f"{section}\n{line}\n"))
     rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"config key {line.split(' = ')[0]!r} is retired" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lesionseg.config import (RunConfig, apply_overrides, config_from_text,
                               config_to_text, load_config, save_config)
 from lesionseg.errors import ValidationError
-from lesionseg.fusion import POOLING_MODES
 from lesionseg.model import TAP_CHOICES, ModelConfig
 
 
@@ -28,7 +27,7 @@ def test_text_round_trip_is_identity():
 
 
 def test_file_round_trip(tmp_path):
-    cfg = RunConfig(pooling="max", encoder_tap=3, momentum=0.5)
+    cfg = RunConfig(use_sfm=False, encoder_tap=3, momentum=0.5)
     path = tmp_path / "run.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -47,13 +46,12 @@ stage_channels = 4, 8
 total_stride = 4
 feature_channels = 8
 use_sfm = off
-[train]
-teacher_forcing = YES
+use_msff = YES
 """
     cfg = config_from_text(text)
     assert cfg.stage_channels == (4, 8)
     assert cfg.use_sfm is False
-    assert cfg.teacher_forcing is True
+    assert cfg.use_msff is True
 
 
 def test_unknown_section_rejected():
@@ -89,7 +87,7 @@ def test_bad_value_types_rejected():
     dict(momentum=-0.1),
     dict(loss_window=0),
     dict(log_every=0),
-    dict(pooling="median"),
+    dict(stage_channels=()),
     dict(encoder_tap=1),
     dict(stage_channels=(16, 32), encoder_tap=2),  # tap 2 needs >= 3 stages
 ])
@@ -133,8 +131,8 @@ def test_frozen():
 # -- one schema ----------------------------------------------------------
 
 # config_to_text(RunConfig()) as written before split_ratio, split_seed,
-# total_stride, feature_channels and the five switches in RETIRED_SWITCHES
-# were retired, minus those nine lines
+# total_stride, feature_channels and the nine switches in RETIRED_SWITCHES
+# were retired, minus those thirteen lines
 DEFAULT_TEXT = """\
 [data]
 data_root = 
@@ -143,11 +141,8 @@ data_root =
 stage_channels = 16, 32, 64
 use_sfm = true
 use_msff = true
-pooling = both
 encoder_tap = 4
-prior_mask_mapping = true
 memory_capacity = 0
-fc_reduction = 4
 
 [train]
 learning_rate = 0.01
@@ -155,7 +150,6 @@ momentum = 0.0
 steps = 200
 log_every = 20
 loss_window = 20
-teacher_forcing = false
 
 [run]
 seed = 0
@@ -176,16 +170,16 @@ total_stride = 4
 feature_channels = 16
 use_sfm = false
 use_msff = false
-pooling = max
+pooling = both
 encoder_tap = 3
-prior_mask_mapping = false
+prior_mask_mapping = true
 similarity = standard
 key_scaling = true
 key_from_gated = false
 use_current_value = false
 hard_prior = false
 memory_capacity = 6
-fc_reduction = 2
+fc_reduction = 4
 
 [train]
 learning_rate = 0.05
@@ -193,7 +187,7 @@ momentum = 0.9
 steps = 500
 log_every = 10
 loss_window = 5
-teacher_forcing = true
+teacher_forcing = false
 
 [run]
 seed = 7
@@ -202,27 +196,31 @@ seed = 7
 
 LEGACY_CONFIG = RunConfig(
     data_root="/data/busv", stage_channels=(8, 16), use_sfm=False, use_msff=False,
-    pooling="max", encoder_tap=3, prior_mask_mapping=False,
-    memory_capacity=6, fc_reduction=2, learning_rate=0.05, momentum=0.9, steps=500,
-    log_every=10, loss_window=5, teacher_forcing=True, seed=7)
+    encoder_tap=3, memory_capacity=6, learning_rate=0.05, momentum=0.9, steps=500,
+    log_every=10, loss_window=5, seed=7)
 
-# retired model switches with the one value each still accepts and a refused one
-RETIRED_SWITCHES = {"similarity": ("standard", "paper-literal"),
-                    "key_scaling": ("true", "false"),
-                    "key_from_gated": ("false", "true"),
-                    "use_current_value": ("false", "true"),
-                    "hard_prior": ("false", "true")}
+# retired switches with their section, the one value each still accepts
+# and a refused one
+RETIRED_SWITCHES = {"similarity": ("model", "standard", "paper-literal"),
+                    "key_scaling": ("model", "true", "false"),
+                    "key_from_gated": ("model", "false", "true"),
+                    "use_current_value": ("model", "false", "true"),
+                    "hard_prior": ("model", "false", "true"),
+                    "pooling": ("model", "both", "max"),
+                    "prior_mask_mapping": ("model", "true", "false"),
+                    "fc_reduction": ("model", "4", "2"),
+                    "teacher_forcing": ("train", "false", "true")}
 RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels",
            *RETIRED_SWITCHES)
 
 
-def test_schema_has_16_fields_and_derives_stride_and_width():
-    assert len(dataclasses.fields(RunConfig)) == 16
+def test_schema_field_counts_and_derived_stride_and_width():
+    assert len(dataclasses.fields(RunConfig)) == 12
     assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig(stage_channels=(8, 16))
     assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
-    # the 8 [model] keys are ModelConfig's fields, declared there only
-    assert len(dataclasses.fields(ModelConfig)) == 8
+    # the 5 [model] keys are ModelConfig's fields, declared there only
+    assert len(dataclasses.fields(ModelConfig)) == 5
 
 
 def test_default_text_is_pinned():
@@ -246,13 +244,13 @@ def test_retired_keys_only_in_their_old_section(key, section):
 
 
 @pytest.mark.parametrize("key,value", [
-    (key, value) for key, (_, refused) in RETIRED_SWITCHES.items()
-    for value in (refused, "maybe")] + [("similarity", "Standard")])
+    (key, value) for key, (_, _, refused) in RETIRED_SWITCHES.items()
+    for value in (refused, "maybe")] + [("similarity", "Standard"), ("pooling", "Both")])
 def test_retired_switch_at_another_value_is_refused(key, value):
-    kept = RETIRED_SWITCHES[key][0]
-    assert config_from_text(f"[model]\n{key} = {kept}\n") == RunConfig()
+    section, kept, _ = RETIRED_SWITCHES[key]
+    assert config_from_text(f"[{section}]\n{key} = {kept}\n") == RunConfig()
     with pytest.raises(ValidationError, match=key):
-        config_from_text(f"[model]\n{key} = {value}\n")
+        config_from_text(f"[{section}]\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("line", ["total_stride = 8", "feature_channels = 64",
@@ -300,7 +298,8 @@ def test_negative_seed_rejected():
 
 @pytest.mark.parametrize("reduction", [0, -2])
 def test_fc_reduction_below_one_rejected(reduction, tmp_path):
-    with pytest.raises(ValidationError, match="fc_reduction"):
+    # the ratio is fixed at 4: no longer a field, and refused by name in a file
+    with pytest.raises(TypeError, match="fc_reduction"):
         RunConfig(fc_reduction=reduction)
     path = tmp_path / "run.ini"
     path.write_text(f"[model]\nfc_reduction = {reduction}\n")
@@ -322,17 +321,13 @@ FIELD_STRATEGIES = {
     "stage_channels": _stage_channels(),
     "use_sfm": st.booleans(),
     "use_msff": st.booleans(),
-    "pooling": st.sampled_from(POOLING_MODES),
     "encoder_tap": st.sampled_from(TAP_CHOICES),
-    "prior_mask_mapping": st.booleans(),
     "memory_capacity": st.integers(0, 10_000),
-    "fc_reduction": st.integers(1, 64),
     "learning_rate": st.floats(min_value=0.0, exclude_min=True, **_finite),
     "momentum": st.floats(min_value=0.0, max_value=1.0, exclude_max=True, **_finite),
     "steps": st.integers(0, 10**9),
     "log_every": st.integers(1, 10**6),
     "loss_window": st.integers(1, 10**6),
-    "teacher_forcing": st.booleans(),
     "seed": st.integers(0, 2**63 - 1),
 }
 
@@ -354,4 +349,4 @@ def test_readme_example_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = config_from_text(example)
-    assert (cfg.use_sfm, cfg.pooling, cfg.steps) == (True, "both", 500)
+    assert (cfg.use_sfm, cfg.encoder_tap, cfg.steps) == (True, 4, 500)

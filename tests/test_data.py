@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lesionseg.data import (Clip, Padding, VideoSequence, load_dataset, pad_to_multiple,
                             read_split, sample_clips, split_names, unpad,
@@ -93,6 +94,29 @@ def test_padding_arithmetic(size, stride, padded):
     assert pad.top + pad.bottom == padded[0] - size[0]
     assert abs(pad.top - pad.bottom) <= 1 and abs(pad.left - pad.right) <= 1
     assert (unpad(out, pad) == img).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 70), w=st.integers(1, 70), stride=st.sampled_from((1, 2, 4, 8, 16)),
+       mode=st.sampled_from(("edge", "constant")), seed=st.integers(0, 2**32 - 1))
+def test_pad_unpad_properties(h, w, stride, mode, seed):
+    img = np.random.default_rng(seed).random((1, h, w)) + 0.5   # no zero pixels
+    out, pad = pad_to_multiple(img, stride, mode=mode)
+    assert out.shape[1] % stride == 0 and out.shape[2] % stride == 0
+    assert out.shape[1] - h < stride and out.shape[2] - w < stride
+    assert (unpad(out, pad) == img).all()
+    assert pad.top <= pad.bottom <= pad.top + 1
+    assert pad.left <= pad.right <= pad.left + 1
+    # the input sits where the split puts it, surrounded by zeros or its border
+    top, left = pad.top, pad.left
+    rows = np.clip(np.arange(out.shape[1]) - top, 0, h - 1)
+    cols = np.clip(np.arange(out.shape[2]) - left, 0, w - 1)
+    if mode == "edge":
+        expect = img[:, rows][:, :, cols]
+    else:
+        expect = np.zeros_like(out)
+        expect[:, top:top + h, left:left + w] = img
+    assert (out == expect).all()
 
 
 def test_loaded_sequences_are_padded_with_record(tmp_path):

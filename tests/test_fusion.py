@@ -13,12 +13,7 @@ from lesionseg.fusion import (ConcatReduce, FcHead, WeightedFusion, channel_weig
 def weights_oracle(x, head):
     """Straight-line numpy reimplementation of channel_weights."""
     per_channel = x.reshape(x.shape[0], -1)
-    if head.pooling == "both":
-        stats = np.concatenate([per_channel.mean(axis=1), per_channel.max(axis=1)])
-    elif head.pooling == "avg":
-        stats = per_channel.mean(axis=1)
-    else:
-        stats = per_channel.max(axis=1)
+    stats = np.concatenate([per_channel.mean(axis=1), per_channel.max(axis=1)])
     hidden = np.maximum(head.w1.data @ stats + head.b1.data, 0.0)
     return 1.0 / (1.0 + np.exp(-(head.w2.data @ hidden + head.b2.data)))
 
@@ -30,17 +25,16 @@ def test_zero_input_gives_half_weights():
 
 
 def test_constant_input_pooling_equality():
+    # avg == max on a constant map, so the two halves of the first dense
+    # layer act on the same statistics and fold into one
     x = np.full((4, 5, 5), 1.7)
-    for pooling in ("avg", "max"):
-        head = FcHead(Initializer(1), 4, pooling=pooling)
-        w = channel_weights(Tensor(x), head)
-        # same seed -> same dense weights, and avg == max on constant input
-        assert np.allclose(w.data, weights_oracle(x, head), atol=1e-15)
-    avg_head = FcHead(Initializer(1), 4, pooling="avg")
-    max_head = FcHead(Initializer(1), 4, pooling="max")
-    wa = channel_weights(Tensor(x), avg_head)
-    wm = channel_weights(Tensor(x), max_head)
-    assert np.allclose(wa.data, wm.data, atol=1e-15)
+    head = FcHead(Initializer(1), 4)
+    w = channel_weights(Tensor(x), head)
+    folded = head.w1.data[:, :4] + head.w1.data[:, 4:]
+    hidden = np.maximum(folded @ np.full(4, 1.7) + head.b1.data, 0.0)
+    expect = 1.0 / (1.0 + np.exp(-(head.w2.data @ hidden + head.b2.data)))
+    assert np.allclose(w.data, expect, atol=1e-15)
+    assert np.allclose(w.data, weights_oracle(x, head), atol=1e-15)
 
 
 def test_weights_match_independent_oracle():
@@ -58,8 +52,6 @@ def test_channel_mismatch_rejected():
     head = FcHead(Initializer(0), 4)
     with pytest.raises(ShapeError):
         channel_weights(Tensor(np.zeros((5, 3, 3))), head)
-    with pytest.raises(ValueError):
-        FcHead(Initializer(0), 4, pooling="median")
 
 
 def test_fuse_zero_side_branches():

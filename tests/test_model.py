@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor
-from lesionseg.config import RunConfig
+from lesionseg.config import RunConfig, config_from_text
 from lesionseg.errors import ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
 
@@ -17,7 +17,7 @@ def small_config(**kw):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ModelConfig(pooling="sum")
+        ModelConfig(stage_channels=())
     with pytest.raises(ValidationError):
         ModelConfig(encoder_tap=5)
     with pytest.raises(ValidationError):
@@ -28,9 +28,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("reduction", [0, -1])
 def test_fc_reduction_below_one_rejected(reduction):
-    # 0 used to divide by zero in FcHead and a negative value gave hidden=1
-    with pytest.raises(ValidationError, match="fc_reduction"):
+    # 0 used to divide by zero in FcHead and a negative value gave hidden=1;
+    # the ratio is now fixed at 4, so no config can set it
+    with pytest.raises(TypeError, match="fc_reduction"):
         ModelConfig(fc_reduction=reduction)
+    with pytest.raises(ValidationError, match="fc_reduction"):
+        config_from_text(f"[model]\nfc_reduction = {reduction}\n")
 
 
 def test_tap_stage_index():

@@ -68,15 +68,6 @@ def test_baseline_step_reduces_to_memory_read_decode():
     assert (pred.data == expect.data).all()
 
 
-def test_teacher_forcing_updates_state_with_gt():
-    model = small_model()
-    seq = small_seq(seed=4)
-    state = init(model, seq.frames[0], seq.masks[0])
-    state, pred = step(model, state, seq.frames[1], update_mask=seq.masks[1])
-    assert (state.prior.prev_mask.data == seq.masks[1].data).all()
-    assert not (state.prior.prev_mask.data == pred.data).all()
-
-
 def test_memory_capacity_monotone_with_pinned_first():
     model = small_model(memory_capacity=2)
     seq = small_seq(seed=6, frames=5)
@@ -127,8 +118,7 @@ def test_propagate_unpads_to_original_resolution():
 
 def test_ablated_models_still_propagate():
     seq = small_seq(seed=11, frames=3)
-    for kw in (dict(use_sfm=False), dict(use_msff=False),
-               dict(prior_mask_mapping=False), dict(encoder_tap=3)):
+    for kw in (dict(use_sfm=False), dict(use_msff=False), dict(encoder_tap=3)):
         model = small_model(**kw)
         preds = propagate(model, seq.frames, seq.masks[0])
         assert len(preds) == 2 and np.isfinite(preds[0]).all()

@@ -88,13 +88,6 @@ def test_seed_changes_the_run():
     assert base != moved
 
 
-def test_teacher_forcing_changes_the_run():
-    base = train(SMALL, tiny_sequences()).losses
-    forced = train(dataclasses.replace(SMALL, teacher_forcing=True),
-                   tiny_sequences()).losses
-    assert base != forced
-
-
 def test_clip_losses_are_positive_and_finite():
     result = train(SMALL, tiny_sequences())
     assert len(result.losses) == SMALL.steps
@@ -140,7 +133,7 @@ def test_clip_loss_returns_two_probability_maps():
     seq = tiny_sequences(1)[0]
     clip = Clip(frames=tuple(seq.frames[:3]), masks=tuple(seq.masks[:3]),
                 sequence=seq.name, start=0)
-    loss, preds = clip_loss(model, clip, teacher_forcing=False)
+    loss, preds = clip_loss(model, clip)
     assert loss.item() > 0
     assert len(preds) == 2
     for p in preds:
