@@ -316,19 +316,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record((a,), a.data.reshape(shape), backward)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    if axes is None:
-        if a.ndim != 2:
-            raise ShapeError(f"default transpose expects a matrix, got shape {a.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    if a.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
+            a.accumulate_grad(np.ascontiguousarray(g.T))
 
-    return _record((a,), np.ascontiguousarray(a.data.transpose(axes)), backward)
+    return _record((a,), np.ascontiguousarray(a.data.T), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

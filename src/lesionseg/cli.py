@@ -13,19 +13,16 @@ import inspect
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, save_config
 from .data import load_dataset
 from .errors import GenerationError, TrainingDivergedError, ValidationError
-from .evaluate import ABLATION_ROWS, ablate, ablation_table, evaluate
+from .evaluate import ABLATION_ROWS, ablate, ablation_table, dump_masks, evaluate
 from .model import TAP_CHOICES
-from .netpbm import write_mask
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
-from .train import smoothed, train
+from .train import LOSS_WINDOW, smoothed, train
 from .verify import CRITERIA, run_all
 
 
@@ -74,7 +71,7 @@ def cmd_train(args) -> int:
     (out / "losses.txt").write_text(
         "".join(f"{v:.17g}\n" for v in result.losses))
     if result.losses:
-        final = smoothed(result.losses, cfg.loss_window)[-1]
+        final = smoothed(result.losses, LOSS_WINDOW)[-1]
         print(f"done: {result.steps} steps, final smoothed loss {final:.5f}")
     print(f"checkpoint written to {out / 'checkpoint'}")
     return 0
@@ -113,9 +110,7 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     save_config(cfg, out / "config.ini")
     mask_dir = out / seq.name
-    mask_dir.mkdir(parents=True, exist_ok=True)
-    for t, pred in enumerate(preds, start=1):
-        write_mask(mask_dir / f"{t:05d}.pgm", (pred >= 0.5).astype(np.float64))
+    dump_masks(mask_dir, preds)
     print(f"wrote {len(preds)} masks to {mask_dir}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,16 +37,18 @@ class RunConfig(ModelConfig):
     momentum: float = _in("train", 0.0)
     steps: int = _in("train", 200)
     log_every: int = _in("train", 20)
-    loss_window: int = _in("train", 20)
     seed: int = _in("run", 0)
 
     def __post_init__(self):
-        if self.steps < 0 or self.learning_rate <= 0.0:
-            raise ValidationError("steps must be >= 0 and learning_rate > 0")
+        if self.steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        if not 0.0 < self.learning_rate < math.inf:   # NaN fails too
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.loss_window < 1 or self.log_every < 1:
-            raise ValidationError("loss_window and log_every must be >= 1")
+        if self.log_every < 1:
+            raise ValidationError(f"log_every must be >= 1, got {self.log_every}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         super().__post_init__()
@@ -72,6 +75,7 @@ _RETIRED = {
     "prior_mask_mapping": ("model", True),
     "fc_reduction": ("model", FC_REDUCTION),
     "teacher_forcing": ("train", False),
+    "loss_window": ("train", None),   # only smoothed the training log
 }
 
 

@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .config import read_text
 from .errors import ValidationError
 from .netpbm import read_mask, read_netpbm, write_mask, write_pgm
-
-LABELS = ("benign", "malignant", "synthetic")
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,9 @@ class VideoSequence:
     name: str
     frames: list[Tensor]
     masks: list[Tensor] | None
-    label: str = "synthetic"
     padding: Padding = Padding()
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValidationError(f"label must be one of {LABELS}, got {self.label!r}")
         if self.masks is not None and len(self.masks) != len(self.frames):
             raise ValidationError(
                 f"{self.name}: {len(self.masks)} masks for {len(self.frames)} frames")
@@ -110,16 +106,11 @@ def _to_gray(img: np.ndarray) -> np.ndarray:
     return img[None, :, :]
 
 
-def _infer_label(name: str) -> str:
-    head = name.split("_")[0].lower()
-    return head if head in ("benign", "malignant") else "synthetic"
-
-
 def read_split(root: Path, split: str) -> list[str]:
     path = Path(root) / "ImageSets" / f"{split}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"split file not found: {path}")
-    return [line.strip() for line in path.read_text().splitlines() if line.strip()]
+    return [line.strip() for line in read_text(path).splitlines() if line.strip()]
 
 
 def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
@@ -156,7 +147,6 @@ def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
         name=name,
         frames=[Tensor(f) for f in padded_frames],
         masks=[Tensor(m) for m in padded_masks] if has_masks else None,
-        label=_infer_label(name),
         padding=pad,
     )
 

@@ -1,7 +1,7 @@
 """Evaluation: propagate each sequence from its first-frame ground truth,
 score frames 2..N at the original resolution, and aggregate per-sequence
-and macro metrics. Also the ablation driver that retrains the module
-toggles with a shared seed.
+and macro metrics. Also the one writer of binarized prediction masks, and
+the ablation driver that retrains the module toggles with a shared seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .data import VideoSequence, unpad
 from .errors import ValidationError
-from .metrics import MetricsReport, segmentation_metrics
+from .metrics import THRESHOLD, MetricsReport, segmentation_metrics
 from .model import SegmentationModel
 from .netpbm import write_mask
 from .propagation import propagate
@@ -22,7 +22,7 @@ from .train import train
 
 
 def evaluate(model: SegmentationModel, sequences: list[VideoSequence],
-             dump_dir=None, threshold: float = 0.5) -> MetricsReport:
+             dump_dir=None) -> MetricsReport:
     """Score first-frame-seeded propagation; frame 1 is excluded."""
     if not sequences:
         raise ValidationError("evaluation needs at least one sequence")
@@ -37,17 +37,21 @@ def evaluate(model: SegmentationModel, sequences: list[VideoSequence],
         for t, pred in enumerate(preds, start=1):
             gt = unpad(seq.masks[t].data, seq.padding)
             try:
-                frame_scores.append(segmentation_metrics(pred, gt, threshold=threshold))
+                frame_scores.append(segmentation_metrics(pred, gt))
             except ValidationError as exc:
                 raise ValidationError(f"sequence {seq.name}, frame {t}: {exc}") from exc
         report.add_sequence(seq.name, frame_scores)
         if dump_dir is not None:
-            out = Path(dump_dir) / seq.name
-            out.mkdir(parents=True, exist_ok=True)
-            for t, pred in enumerate(preds, start=1):
-                binary = (pred >= threshold).astype(np.float64)
-                write_mask(out / f"{t:05d}.pgm", binary)
+            dump_masks(Path(dump_dir) / seq.name, preds)
     return report
+
+
+def dump_masks(out_dir, preds: list[np.ndarray]) -> None:
+    """Write predictions for frames 1.. as masks binarized at THRESHOLD."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for t, pred in enumerate(preds, start=1):
+        write_mask(out_dir / f"{t:05d}.pgm", (pred >= THRESHOLD).astype(np.float64))
 
 
 _ROW_TOGGLES = {
@@ -64,11 +68,12 @@ def ablate(config: RunConfig, train_seqs: list[VideoSequence],
            eval_seqs: list[VideoSequence], rows=ABLATION_ROWS,
            log=None) -> list[tuple[str, MetricsReport]]:
     """Train and evaluate each toggle row under the shared run seed."""
+    unknown = [row for row in rows if row not in _ROW_TOGGLES]
+    if unknown or not rows:
+        got = f"unknown ablation row {unknown[0]!r}" if unknown else "no ablation row"
+        raise ValidationError(f"{got}; choose from {sorted(_ROW_TOGGLES)}")
     results = []
     for row in rows:
-        if row not in _ROW_TOGGLES:
-            raise ValidationError(f"unknown ablation row {row!r}; "
-                                  f"choose from {sorted(_ROW_TOGGLES)}")
         row_config = dataclasses.replace(config, **_ROW_TOGGLES[row])
         if log is not None:
             log(f"ablation row {row}: training {row_config.steps} steps")

@@ -2,8 +2,9 @@
 
 The loss is full binary cross-entropy between predicted probability maps and
 binary ground truth, summed over the supervised frames of a clip.  Evaluation
-reports Dice, IoU, Recall on masks binarized at a threshold, and MAE on the
-continuous probability map.
+reports Dice, IoU, Recall on masks binarized at ``THRESHOLD``, and MAE on
+the continuous probability map.  ``THRESHOLD`` is also where written
+prediction masks are binarized.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .autodiff import Tensor, clamp, log, tmean, tsum
 from .errors import ShapeError, ValidationError
 
 CLAMP_EPS = 1e-7
+THRESHOLD = 0.5   # a pixel with probability >= THRESHOLD is lesion
 
 
 def _check_binary(gt: np.ndarray, what: str = "ground truth") -> None:
@@ -43,12 +45,12 @@ def ce_loss(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
     return total
 
 
-def segmentation_metrics(pred_prob: np.ndarray, gt: np.ndarray,
-                         threshold: float = 0.5) -> tuple[float, float, float, float]:
+def segmentation_metrics(pred_prob: np.ndarray,
+                         gt: np.ndarray) -> tuple[float, float, float, float]:
     """(dice, iou, recall, mae) for one predicted frame.
 
     Dice/IoU/Recall are computed on the prediction binarized at
-    ``threshold``; MAE is the mean absolute per-pixel error against the
+    ``THRESHOLD``; MAE is the mean absolute per-pixel error against the
     continuous map.  Empty-set conventions: both masks empty -> dice = iou =
     recall = 1; GT empty but prediction not -> recall = 1, dice = iou = 0.
     A prediction that is not finite or leaves [0, 1] is rejected: it would
@@ -62,7 +64,7 @@ def segmentation_metrics(pred_prob: np.ndarray, gt: np.ndarray,
     if not ((pred_prob >= 0.0) & (pred_prob <= 1.0)).all():   # NaN fails both
         raise ValidationError("prediction must hold finite probabilities in [0, 1]")
 
-    sr = pred_prob >= threshold
+    sr = pred_prob >= THRESHOLD
     gtb = gt >= 0.5
     inter = float(np.count_nonzero(sr & gtb))
     n_sr = float(np.count_nonzero(sr))

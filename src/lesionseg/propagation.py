@@ -7,6 +7,10 @@ mask gates the current frame for the spatial read, whose key comes from
 the previous frame's ungated encode. State updates use the model's own
 soft prediction, so a later frame's loss reaches earlier predictions.
 The decoder takes the fused feature with the current frame's skips.
+
+`PropagationState` is everything one step hands the next: the memory bank
+(``memory_capacity`` passes straight through, 0 meaning unlimited), the
+previous frame's mask and ungated key, and the frame count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .autodiff import Tensor, sigmoid
 from .data import Padding, unpad
 from .errors import ValidationError
 from .model import SegmentationModel
-from .spatial import PriorState, apply_prior, spatial_read
+from .spatial import apply_prior, spatial_read
 from .temporal import MemoryBank, memory_read
 
 
@@ -28,7 +32,8 @@ class PropagationState:
     """Memory bank plus previous-frame prior; advances one frame per step."""
 
     memory: MemoryBank
-    prior: PriorState
+    prev_mask: Tensor   # (1, H, W) probability map: the next frame's prior
+    prev_key: Tensor    # (C/8, h, w), from the ungated encode of the previous frame
     frame_index: int    # frames consumed so far
 
 
@@ -41,13 +46,12 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
     values = np.unique(gt_mask.data)
     if not np.isin(values, (0.0, 1.0)).all():
         raise ValidationError("first-frame mask must be binary {0, 1}")
-    cfg = model.config
     seeded = model.encoder.encode(frame, mask=gt_mask)
-    memory = MemoryBank(capacity=cfg.memory_capacity or None)
+    memory = MemoryBank(capacity=model.config.memory_capacity)
     memory.append(seeded.key, seeded.value)
     raw = model.encoder.encode(frame)
-    prior = PriorState(prev_mask=gt_mask, prev_key=raw.key)
-    return PropagationState(memory=memory, prior=prior, frame_index=1)
+    return PropagationState(memory=memory, prev_mask=gt_mask, prev_key=raw.key,
+                            frame_index=1)
 
 
 def step(model: SegmentationModel, state: PropagationState,
@@ -61,15 +65,14 @@ def step(model: SegmentationModel, state: PropagationState,
     temporal = memory_read(state.memory, current.key)
     spatial = None
     if model.config.use_sfm:
-        gated = model.encoder.encode(apply_prior(state.prior.prev_mask, frame))
-        spatial = spatial_read(current.key, state.prior.prev_key, gated.value)
+        gated = model.encoder.encode(apply_prior(state.prev_mask, frame))
+        spatial = spatial_read(current.key, state.prev_key, gated.value)
     fused = model.merge_branches(temporal, spatial, current.skips)
     pred = sigmoid(model.decoder.decode(fused, current.skips))
 
     remembered = model.encoder.encode(frame, mask=pred)
     state.memory.append(remembered.key, remembered.value)
-    prior = PriorState(prev_mask=pred, prev_key=current.key)
-    return PropagationState(memory=state.memory, prior=prior,
+    return PropagationState(memory=state.memory, prev_mask=pred, prev_key=current.key,
                             frame_index=state.frame_index + 1), pred
 
 

@@ -5,27 +5,15 @@ The previous prediction acts as spatial prior knowledge: multiplying it
 into the current frame suppresses background before encoding, and the
 resulting value map is retrieved through the same attention mechanics as
 the temporal read, with the previous frame as a one-entry memory.
+`apply_prior` is where the prior mask's range is checked; the
+propagation state only carries the mask and key from step to step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autodiff import Tensor, mul
 from .errors import ShapeError, ValidationError
 from .temporal import attention_read
-
-
-@dataclass
-class PriorState:
-    """What the previous frame hands to the current step."""
-
-    prev_mask: Tensor    # (1, H, W) probability map in [0, 1]
-    prev_key: Tensor     # (C/8, h, w), from the ungated encode of the previous frame
-
-    def __post_init__(self):
-        if self.prev_mask.data.min() < 0.0 or self.prev_mask.data.max() > 1.0:
-            raise ValidationError("prior mask values must lie in [0, 1]")
 
 
 def apply_prior(prior_mask: Tensor, frame: Tensor) -> Tensor:

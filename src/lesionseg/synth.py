@@ -149,7 +149,6 @@ def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[Ell
         name="synthetic",
         frames=[Tensor(f) for f in frames],
         masks=[Tensor(m) for m in masks],
-        label="synthetic",
         padding=Padding(),
     )
     return seq, track

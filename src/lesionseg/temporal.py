@@ -44,13 +44,14 @@ CHUNK_SCORES = 2 ** 16
 class MemoryBank:
     """Keys/values of past frames, insertion-ordered, first entry pinned.
 
-    When a capacity is set, appending beyond it evicts the oldest entry
-    that is not the first frame.
+    A capacity of 0 means unlimited, as ``ModelConfig.memory_capacity``
+    does. A positive capacity makes an append beyond it evict the oldest
+    entry that is not the first frame.
     """
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, capacity: int = 0):
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0 (0 = unlimited), got {capacity}")
         self.capacity = capacity
         self.keys: list[Tensor] = []
         self.values: list[Tensor] = []
@@ -70,7 +71,7 @@ class MemoryBank:
                 raise ShapeError(f"value shape {value.shape} != bank {self.values[0].shape}")
         self.keys.append(key)
         self.values.append(value)
-        if self.capacity is not None and len(self.keys) > self.capacity:
+        if 0 < self.capacity < len(self.keys):
             del self.keys[1], self.values[1]
 
 

@@ -20,7 +20,7 @@ from .metrics import ce_loss
 from .model import SegmentationModel
 from .propagation import init, step
 
-LOSS_PAIR_FRAMES = 2   # losses attach to the 2nd and 3rd clip frames
+LOSS_WINDOW = 20   # steps per trailing mean in the training log
 
 
 class SGD:
@@ -118,7 +118,7 @@ def train(config: RunConfig, sequences: list[VideoSequence],
         optimizer.apply(model.parameters())
         result.losses.append(value)
         if log is not None and (step_idx + 1) % config.log_every == 0:
-            window = smoothed(result.losses, config.loss_window)[-1]
+            window = smoothed(result.losses, LOSS_WINDOW)[-1]
             log(f"step {step_idx + 1}/{config.steps}  loss {value:.5f}  "
                 f"smoothed {window:.5f}")
     return result

@@ -25,7 +25,7 @@ from .backbone import Encoder, Initializer
 from .checkpoint import BLOB, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import load_dataset, pad_to_multiple, unpad
-from .evaluate import evaluate
+from .evaluate import ablate, evaluate
 from .fusion import FcHead, WeightedFusion, channel_weights
 from .metrics import ce_loss, segmentation_metrics
 from .model import ModelConfig, SegmentationModel
@@ -34,7 +34,7 @@ from .propagation import init, step
 from .spatial import apply_prior, spatial_read
 from .synth import SynthConfig, make_dataset, synth_generate
 from .temporal import MemoryBank, attention_read, memory_read
-from .train import smoothed, train
+from .train import LOSS_WINDOW, smoothed, train
 
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-12
@@ -307,8 +307,8 @@ def criterion_overfit(ws: Workspace):
     root = ws.overfit_tree()
     seqs = load_dataset(root, split="train")
     result = train(OVERFIT_CONFIG, seqs)
-    curve = smoothed(result.losses, OVERFIT_CONFIG.loss_window)
-    initial = float(np.mean(result.losses[:OVERFIT_CONFIG.loss_window]))
+    curve = smoothed(result.losses, LOSS_WINDOW)
+    initial = float(np.mean(result.losses[:LOSS_WINDOW]))
     final = curve[-1]
     report = evaluate(result.model, seqs)
     elapsed = time.time() - start
@@ -333,16 +333,13 @@ def criterion_ablation(ws: Workspace):
     root = ws.bench_tree()
     train_seqs = load_dataset(root, split="train")
     val_seqs = load_dataset(root, split="val")
-    full_scores, base_scores = [], []
+    scores = {"full": [], "baseline": []}
     for seed in ABLATION_SEEDS:
         shared = dataclasses.replace(BENCH_CONFIG, steps=ABLATION_STEPS, seed=seed)
-        for target, kw in ((full_scores, {}),
-                           (base_scores, dict(use_sfm=False, use_msff=False))):
-            cfg = dataclasses.replace(shared, **kw)
-            outcome = train(cfg, train_seqs)
-            target.append(evaluate(outcome.model, val_seqs).dice)
-    full = float(np.mean(full_scores))
-    base = float(np.mean(base_scores))
+        for row, report in ablate(shared, train_seqs, val_seqs, rows=tuple(scores)):
+            scores[row].append(report.dice)
+    full = float(np.mean(scores["full"]))
+    base = float(np.mean(scores["baseline"]))
     ok = full >= base
     return ok, (f"{len(ABLATION_SEEDS)} seeds x {ABLATION_STEPS} steps: full model "
                 f"dice {full:.3f} vs temporal-only baseline {base:.3f}")

@@ -85,6 +85,20 @@ def test_seed_lists():
     assert bench_pairs.parse_seeds("1-3,9") == [1, 2, 3, 9]
 
 
+@pytest.mark.parametrize("text", ["110-101", "1-3,9-5"])
+def test_a_backwards_seed_range_is_refused(text, tmp_path, capsys):
+    with pytest.raises(ValueError, match="backwards"):
+        bench_pairs.parse_seeds(text)
+    out = tmp_path / "bench.json"
+    out.write_text('{"workloads": {"eval64": {"pairs": 10}}}')
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "eval64", "--seeds", text, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert json.loads(out.read_text())["workloads"]["eval64"]["pairs"] == 10
+
+
 def traced_result(correct=True, **values):
     return {"correct": correct,
             "metrics": {k.replace("_", "."): {"value": v, "unit": "ms"}

@@ -103,6 +103,20 @@ def test_predict_writes_one_mask_per_later_frame(pipeline):
     assert [m.name for m in masks] == ["00001.pgm", "00002.pgm", "00003.pgm"]
 
 
+def test_predict_writes_the_masks_eval_dumps(pipeline, tmp_path):
+    ckpt = str(pipeline / "run" / "checkpoint")
+    (val,) = (pipeline / "data" / "ImageSets" / "val.txt").read_text().split()
+    assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "eval"),
+                 "--dump"]) == 0
+    assert main(["predict", "--checkpoint", ckpt, "--sequence", val,
+                 "--out", str(tmp_path / "predict")]) == 0
+    dumped = sorted((tmp_path / "eval" / "predictions" / val).iterdir())
+    predicted = sorted((tmp_path / "predict" / val).iterdir())
+    assert [p.name for p in dumped] == [p.name for p in predicted] != []
+    for a, b in zip(dumped, predicted):
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_ablate_writes_the_toggle_table(pipeline):
     out = pipeline / "ablate"
     rc = main(["ablate", "--data", str(pipeline / "data"), "--out", str(out),
@@ -346,10 +360,25 @@ def test_unknown_sequence_exits_2(pipeline, tmp_path, capsys):
 
 
 def test_unknown_ablation_row_exits_2(pipeline, tmp_path, capsys):
-    rc = main(["ablate", "--data", str(pipeline / "data"),
-               "--out", str(tmp_path), "--rows", "turbo"])
+    for rows, message in (("turbo", "turbo"), ("full,turbo", "turbo"),
+                          (",", "no ablation row"), ("", "no ablation row")):
+        rc = main(["ablate", "--data", str(pipeline / "data"),
+                   "--out", str(tmp_path), "--rows", rows])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "baseline" in err
+        assert not (tmp_path / "ablation.tsv").exists()
+
+
+def test_split_file_that_is_not_utf8_exits_2(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    (data / "ImageSets" / "train.txt").write_bytes(b"\xff\xfe")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+               "--steps", "1"])
     assert rc == 2
-    assert "turbo" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "train.txt is not UTF-8 text: byte 0 is 0xff" in err
 
 
 def test_impossible_synth_geometry_exits_2(tmp_path, capsys):

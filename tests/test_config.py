@@ -82,10 +82,11 @@ def test_bad_value_types_rejected():
     dict(memory_capacity=-1),
     dict(stage_channels=(16, 32, 60)),  # last stage width not divisible by 8
     dict(learning_rate=0.0),
+    dict(learning_rate=float("nan")),
+    dict(learning_rate=float("inf")),
     dict(steps=-1),
     dict(momentum=1.0),
     dict(momentum=-0.1),
-    dict(loss_window=0),
     dict(log_every=0),
     dict(stage_channels=()),
     dict(encoder_tap=1),
@@ -131,8 +132,8 @@ def test_frozen():
 # -- one schema ----------------------------------------------------------
 
 # config_to_text(RunConfig()) as written before split_ratio, split_seed,
-# total_stride, feature_channels and the nine switches in RETIRED_SWITCHES
-# were retired, minus those thirteen lines
+# total_stride, feature_channels, loss_window and the nine switches in
+# RETIRED_SWITCHES were retired, minus those fourteen lines
 DEFAULT_TEXT = """\
 [data]
 data_root = 
@@ -149,7 +150,6 @@ learning_rate = 0.01
 momentum = 0.0
 steps = 200
 log_every = 20
-loss_window = 20
 
 [run]
 seed = 0
@@ -197,7 +197,7 @@ seed = 7
 LEGACY_CONFIG = RunConfig(
     data_root="/data/busv", stage_channels=(8, 16), use_sfm=False, use_msff=False,
     encoder_tap=3, memory_capacity=6, learning_rate=0.05, momentum=0.9, steps=500,
-    log_every=10, loss_window=5, seed=7)
+    log_every=10, seed=7)
 
 # retired switches with their section, the one value each still accepts
 # and a refused one
@@ -211,11 +211,11 @@ RETIRED_SWITCHES = {"similarity": ("model", "standard", "paper-literal"),
                     "fc_reduction": ("model", "4", "2"),
                     "teacher_forcing": ("train", "false", "true")}
 RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels",
-           *RETIRED_SWITCHES)
+           "loss_window", *RETIRED_SWITCHES)
 
 
 def test_schema_field_counts_and_derived_stride_and_width():
-    assert len(dataclasses.fields(RunConfig)) == 12
+    assert len(dataclasses.fields(RunConfig)) == 11
     assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig(stage_channels=(8, 16))
     assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
@@ -237,7 +237,7 @@ def test_legacy_25_key_text_loads_to_the_same_values():
 
 @pytest.mark.parametrize("key,section", [
     ("split_seed", "model"), ("split_ratio", "train"),
-    ("total_stride", "data"), ("feature_channels", "run")])
+    ("total_stride", "data"), ("feature_channels", "run"), ("loss_window", "model")])
 def test_retired_keys_only_in_their_old_section(key, section):
     with pytest.raises(ValidationError, match="does not belong"):
         config_from_text(f"[{section}]\n{key} = 1\n")
@@ -251,6 +251,12 @@ def test_retired_switch_at_another_value_is_refused(key, value):
     assert config_from_text(f"[{section}]\n{key} = {kept}\n") == RunConfig()
     with pytest.raises(ValidationError, match=key):
         config_from_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["20", "5", "0", "ten"])
+def test_retired_loss_window_takes_any_value(value):
+    # it only smoothed the training log, so no value is refused
+    assert config_from_text(f"[train]\nloss_window = {value}\n") == RunConfig()
 
 
 @pytest.mark.parametrize("line", ["total_stride = 8", "feature_channels = 64",
@@ -327,7 +333,6 @@ FIELD_STRATEGIES = {
     "momentum": st.floats(min_value=0.0, max_value=1.0, exclude_max=True, **_finite),
     "steps": st.integers(0, 10**9),
     "log_every": st.integers(1, 10**6),
-    "loss_window": st.integers(1, 10**6),
     "seed": st.integers(0, 2**63 - 1),
 }
 

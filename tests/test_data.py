@@ -161,8 +161,6 @@ def test_video_sequence_validation():
     with pytest.raises(ValidationError):
         VideoSequence(name="s", frames=[Tensor(np.zeros((1, 8, 8))),
                                         Tensor(np.zeros((1, 4, 4)))], masks=None)
-    with pytest.raises(ValidationError):
-        VideoSequence(name="s", frames=frames, masks=None, label="cyst")
 
 
 def test_split_names_deterministic_partition():
@@ -174,13 +172,6 @@ def test_split_names_deterministic_partition():
     assert split_names(names, 0.9, seed=1) != (train, val)
     with pytest.raises(ValidationError):
         split_names(names, 1.0, seed=0)
-
-
-def test_label_inference(tmp_path):
-    make_tree(tmp_path, {"benign_01": 2, "malignant_02": 2, "synth000": 2})
-    labels = {s.name: s.label for s in load_dataset(tmp_path)}
-    assert labels == {"benign_01": "benign", "malignant_02": "malignant",
-                      "synth000": "synthetic"}
 
 
 def test_loading_emits_no_warnings(tmp_path):

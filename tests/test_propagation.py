@@ -29,7 +29,7 @@ def test_init_seeds_memory_and_prior():
     state = init(model, seq.frames[0], seq.masks[0])
     assert len(state.memory) == 1
     assert state.frame_index == 1
-    assert (state.prior.prev_mask.data == seq.masks[0].data).all()
+    assert (state.prev_mask.data == seq.masks[0].data).all()
 
 
 def test_init_rejects_bad_masks():
@@ -52,7 +52,7 @@ def test_step_advances_state():
     assert pred.data.min() > 0.0 and pred.data.max() < 1.0
     assert len(state.memory) == 2
     assert state.frame_index == 2
-    assert (state.prior.prev_mask.data == pred.data).all()
+    assert (state.prev_mask.data == pred.data).all()
 
 
 def test_baseline_step_reduces_to_memory_read_decode():

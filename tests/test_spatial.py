@@ -7,7 +7,7 @@ from lesionseg.autodiff import Tensor, grad_check, tsum
 from lesionseg.backbone import Encoder, Initializer
 from lesionseg.errors import ShapeError, ValidationError
 from lesionseg.model import ModelConfig
-from lesionseg.spatial import PriorState, apply_prior, spatial_read
+from lesionseg.spatial import apply_prior, spatial_read
 
 SMALL = ModelConfig(stage_channels=(4, 8))
 
@@ -33,14 +33,10 @@ def test_logit_mask_rejected():
     frame = Tensor(np.zeros((1, 4, 4)))
     with pytest.raises(ValidationError, match="sigmoid"):
         apply_prior(Tensor(np.full((1, 4, 4), 3.2)), frame)
+    with pytest.raises(ValidationError, match="sigmoid"):
+        apply_prior(Tensor(np.full((1, 4, 4), -0.1)), frame)
     with pytest.raises(ShapeError):
         apply_prior(Tensor(np.zeros((1, 8, 8))), frame)
-
-
-def test_prior_state_validates_mask_range():
-    with pytest.raises(ValidationError):
-        PriorState(prev_mask=Tensor(np.full((1, 8, 8), -0.1)),
-                   prev_key=Tensor(np.zeros((1, 2, 2))))
 
 
 def test_zero_mask_zero_bias_zeroes_value():

@@ -37,7 +37,6 @@ def test_sequence_structure():
     seq = synth_generate(SynthConfig(frames=7), 0)
     assert len(seq) == 7 and len(seq.masks) == 7
     assert seq.frames[0].shape == (1, 64, 64)
-    assert seq.label == "synthetic"
     assert all(0.0 <= f.data.min() and f.data.max() <= 1.0 for f in seq.frames)
     assert all(set(np.unique(m.data)) <= {0.0, 1.0} for m in seq.masks)
     assert all(m.data.any() for m in seq.masks)   # lesion present in every frame

@@ -14,7 +14,7 @@ from lesionseg.errors import ShapeError, StateError
 from lesionseg.temporal import CHUNK_SCORES, MemoryBank, attention_read, memory_read
 
 
-def bank_of(rng, t, ck=2, cv=4, hw=3, capacity=None):
+def bank_of(rng, t, ck=2, cv=4, hw=3, capacity=0):
     bank = MemoryBank(capacity=capacity)
     for _ in range(t):
         bank.append(Tensor(rng.standard_normal((ck, hw, hw))),
@@ -41,10 +41,12 @@ def test_eviction_keeps_first_frame():
     assert len(bank) == 2
     assert (bank.keys[0].data == 0.0).all()   # pinned first
     assert (bank.keys[1].data == 2.0).all()   # newest survives, middle evicted
+    with pytest.raises(ValueError, match="0 = unlimited"):
+        MemoryBank(capacity=-1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(capacity=st.one_of(st.none(), st.integers(1, 8)), appends=st.integers(1, 30))
+@given(capacity=st.integers(0, 8), appends=st.integers(1, 30))
 def test_bank_keeps_the_first_entry_and_the_most_recent(capacity, appends):
     bank = MemoryBank(capacity=capacity)
     entries = []
@@ -52,11 +54,11 @@ def test_bank_keeps_the_first_entry_and_the_most_recent(capacity, appends):
         entry = (Tensor(np.full((1, 2, 2), float(k))), Tensor(np.full((2, 2, 2), -float(k))))
         entries.append(entry)
         bank.append(*entry)
-        if capacity is None or k <= capacity:
+        if capacity == 0 or k <= capacity:
             survivors = entries
         else:
             survivors = entries[:1] + entries[k - (capacity - 1):]
-        assert capacity is None or len(bank) <= capacity
+        assert capacity == 0 or len(bank) <= capacity
         assert bank.keys[0] is entries[0][0] and bank.values[0] is entries[0][1]
         assert [(id(key), id(value)) for key, value in zip(bank.keys, bank.values)] == \
             [(id(key), id(value)) for key, value in survivors]

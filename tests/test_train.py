@@ -69,9 +69,9 @@ def test_train_result_counts_steps():
 
 
 def test_train_reduces_the_smoothed_loss():
-    cfg = dataclasses.replace(SMALL, steps=40, loss_window=10)
+    cfg = dataclasses.replace(SMALL, steps=40)
     result = train(cfg, tiny_sequences())
-    curve = smoothed(result.losses, cfg.loss_window)
+    curve = smoothed(result.losses, 10)
     assert curve[-1] < 0.6 * float(np.mean(result.losses[:10]))
 
 

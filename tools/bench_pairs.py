@@ -34,11 +34,18 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'101-110' or '3,5,7' (or a mix, '1-3,9') -> the seeds in order."""
+    """'101-110' or '3,5,7' (or a mix, '1-3,9') -> the seeds in order.
+
+    A range that runs backwards is a ValueError, not an empty list: a run
+    over no seed would replace the workload's entry in --out with nothing.
+    """
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
