@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .autodiff import Tensor, concat, conv2d, relu, upsample2x
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, is_probability
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -69,18 +69,22 @@ class Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
 
+def named_parameters(module: object, prefix: str = "") -> dict[str, Tensor]:
+    """Every Tensor under a module's attributes, keyed by dotted attribute path.
 
-def _flatten_params(named: dict[str, object]) -> dict[str, Tensor]:
+    Attributes are walked in assignment order, so construction order is
+    parameter order. Item i of a list attribute ``x`` is named ``x{i}``.
+    None, numbers, tuples and config objects hold no parameter.
+    """
     out: dict[str, Tensor] = {}
-    for prefix, item in named.items():
-        if isinstance(item, Tensor):
-            out[prefix] = item
-        else:
-            for sub, tensor in item.params().items():
-                out[f"{prefix}.{sub}"] = tensor
+    for name, value in vars(module).items():
+        items = enumerate(value) if isinstance(value, list) else [("", value)]
+        for index, item in items:
+            if isinstance(item, Tensor):
+                out[f"{prefix}{name}{index}"] = item
+            elif hasattr(item, "__dict__"):
+                out.update(named_parameters(item, f"{prefix}{name}{index}."))
     return out
 
 
@@ -96,9 +100,6 @@ class _Stage:
         h = relu(self.down(x))
         return relu(h + self.res2(relu(self.res1(h))))
 
-    def params(self) -> dict[str, Tensor]:
-        return _flatten_params({"down": self.down, "res1": self.res1, "res2": self.res2})
-
 
 class Encoder:
     """Configurable strided-conv encoder with key/value projection heads."""
@@ -106,8 +107,8 @@ class Encoder:
     def __init__(self, config: ModelConfig, init: Initializer):
         self.config = config
         channels = [IN_CHANNELS + 1] + list(config.stage_channels)  # +1 mask channel
-        self.stages = [_Stage(init, channels[i], channels[i + 1])
-                       for i in range(len(config.stage_channels))]
+        self.stage = [_Stage(init, channels[i], channels[i + 1])
+                      for i in range(len(config.stage_channels))]
         c = config.feature_channels
         self.key_head = Conv(init, c, config.key_channels, 1)
         self.value_head = Conv(init, c, config.value_channels, 1)
@@ -127,11 +128,11 @@ class Encoder:
         else:
             if mask.shape != (1, h0, w0):
                 raise ShapeError(f"mask shape {mask.shape} != (1, {h0}, {w0})")
-            if mask.data.min() < 0.0 or mask.data.max() > 1.0:
+            if not is_probability(mask.data):
                 raise ValidationError("mask channel values must lie in [0, 1]")
         x = concat([frame, mask], axis=0)
         skips = []
-        for stage in self.stages:
+        for stage in self.stage:
             x = stage(x)
             skips.append(x)
         return FrameEmbedding(
@@ -140,23 +141,16 @@ class Encoder:
             skips=skips,
         )
 
-    def params(self) -> dict[str, Tensor]:
-        named: dict[str, object] = {f"stage{i}": s for i, s in enumerate(self.stages)}
-        named["key_head"] = self.key_head
-        named["value_head"] = self.value_head
-        return _flatten_params(named)
-
 
 class Decoder:
     """Upsample-concat-conv blocks from the fused feature back to image size."""
 
     def __init__(self, config: ModelConfig, init: Initializer):
-        self.config = config
         widths = list(config.stage_channels)
         cin = config.value_channels
-        self.blocks: list[Conv] = []
+        self.block: list[Conv] = []
         for skip_width in widths[-2::-1]:   # block output width tracks its skip
-            self.blocks.append(Conv(init, cin + skip_width, skip_width, 3))
+            self.block.append(Conv(init, cin + skip_width, skip_width, 3))
             cin = skip_width
         self.head = Conv(init, cin, 1, 1)
 
@@ -166,15 +160,10 @@ class Decoder:
             raise ShapeError(
                 f"fused feature spatial dims {fused.shape[1:]} != last skip {skips[-1].shape[1:]}")
         x = fused
-        for block, skip in zip(self.blocks, skips[-2::-1]):
+        for block, skip in zip(self.block, skips[-2::-1]):
             x = upsample2x(x, "nearest")
             if x.shape[1:] != skip.shape[1:]:
                 raise ShapeError(
                     f"decoder feature {x.shape[1:]} does not match skip {skip.shape[1:]}")
             x = relu(block(concat([x, skip], axis=0)))
         return upsample2x(self.head(x), "bilinear")
-
-    def params(self) -> dict[str, Tensor]:
-        named: dict[str, object] = {f"block{i}": b for i, b in enumerate(self.blocks)}
-        named["head"] = self.head
-        return _flatten_params(named)

@@ -51,6 +51,14 @@ def _effective_config(args) -> RunConfig:
     return apply_overrides(cfg, overrides)
 
 
+def _data_root(args, cfg: RunConfig, source: str) -> str:
+    """--data if given, else the config's data_root; neither is an error."""
+    root = args.data_root or cfg.data_root
+    if not root:
+        raise ValidationError(f"{args.command} needs --data (or data_root in {source})")
+    return root
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -59,10 +67,8 @@ def _out_dir(args) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
-    if not cfg.data_root:
-        raise ValidationError("train needs --data (or data_root in the config file)")
-    sequences = load_dataset(cfg.data_root, split=args.split,
-                             total_stride=cfg.total_stride)
+    root = _data_root(args, cfg, "the config file")
+    sequences = load_dataset(root, split=args.split, total_stride=cfg.total_stride)
     result = train(cfg, sequences, log=print)
     out = _out_dir(args)
     save_config(cfg, out / "config.ini")
@@ -79,9 +85,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, cfg, step, _ = load_checkpoint(args.checkpoint)
-    root = args.data_root or cfg.data_root
-    if not root:
-        raise ValidationError("eval needs --data (or data_root in the checkpoint config)")
+    root = _data_root(args, cfg, "the checkpoint config")
     sequences = load_dataset(root, split=args.split, total_stride=cfg.total_stride)
     out = _out_dir(args)
     dump = (out / "predictions") if args.dump else None
@@ -96,9 +100,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
-    root = args.data_root or cfg.data_root
-    if not root:
-        raise ValidationError("predict needs --data (or data_root in the checkpoint config)")
+    root = _data_root(args, cfg, "the checkpoint config")
     sequences = load_dataset(root, total_stride=cfg.total_stride)
     matches = [s for s in sequences if s.name == args.sequence]
     if not matches:
@@ -117,13 +119,10 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _effective_config(args)
-    if not cfg.data_root:
-        raise ValidationError("ablate needs --data (or data_root in the config file)")
+    root = _data_root(args, cfg, "the config file")
     rows = tuple(r.strip() for r in args.rows.split(",") if r.strip())
-    train_seqs = load_dataset(cfg.data_root, split="train",
-                              total_stride=cfg.total_stride)
-    eval_seqs = load_dataset(cfg.data_root, split=args.split,
-                             total_stride=cfg.total_stride)
+    train_seqs = load_dataset(root, split="train", total_stride=cfg.total_stride)
+    eval_seqs = load_dataset(root, split=args.split, total_stride=cfg.total_stride)
     results = ablate(cfg, train_seqs, eval_seqs, rows=rows, log=print)
     table = ablation_table(results)
     out = _out_dir(args)

@@ -43,7 +43,7 @@ class Padding:
 
 def pad_to_multiple(img: np.ndarray, stride: int,
                     mode: str = "edge") -> tuple[np.ndarray, Padding]:
-    """Center-pad a (1, H, W) array so H and W divide by stride."""
+    """Center-pad a (1, H, W) array so H and W divide by stride; `mode` is np.pad's."""
     _, h, w = img.shape
     dh = (-h) % stride
     dw = (-w) % stride
@@ -51,11 +51,7 @@ def pad_to_multiple(img: np.ndarray, stride: int,
     if not pad.any:
         return img, pad
     spec = ((0, 0), (pad.top, pad.bottom), (pad.left, pad.right))
-    if mode == "edge":
-        out = np.pad(img, spec, mode="edge")
-    else:
-        out = np.pad(img, spec, mode="constant")
-    return out, pad
+    return np.pad(img, spec, mode=mode), pad
 
 
 def unpad(arr: np.ndarray, pad: Padding) -> np.ndarray:
@@ -110,7 +106,11 @@ def read_split(root: Path, split: str) -> list[str]:
     path = Path(root) / "ImageSets" / f"{split}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"split file not found: {path}")
-    return [line.strip() for line in read_text(path).splitlines() if line.strip()]
+    names = [line.strip() for line in read_text(path).splitlines() if line.strip()]
+    if len(set(names)) < len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise ValidationError(f"{path} lists sequence {twice!r} more than once")
+    return names
 
 
 def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the two value rules that input checks share."""
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -22,4 +24,12 @@ class GenerationError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training aborted on a non-finite loss."""
+    """The weights diverged: a non-finite loss, or a NaN prediction before any loss."""
+
+
+def is_probability(x: np.ndarray) -> bool:
+    return bool(((x >= 0.0) & (x <= 1.0)).all())   # NaN fails both comparisons
+
+
+def is_binary(x: np.ndarray) -> bool:
+    return bool(((x == 0.0) | (x == 1.0)).all())   # NaN is neither

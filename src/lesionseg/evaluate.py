@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import VideoSequence, unpad
-from .errors import ValidationError
+from .errors import TrainingDivergedError, ValidationError
 from .metrics import THRESHOLD, MetricsReport, segmentation_metrics
 from .model import SegmentationModel
 from .netpbm import write_mask
@@ -32,7 +32,10 @@ def evaluate(model: SegmentationModel, sequences: list[VideoSequence],
             raise ValidationError(f"sequence {seq.name} has no ground-truth masks")
         if len(seq) < 2:
             raise ValidationError(f"sequence {seq.name} needs >= 2 frames to evaluate")
-        preds = propagate(model, seq.frames, seq.masks[0], padding=seq.padding)
+        try:
+            preds = propagate(model, seq.frames, seq.masks[0], padding=seq.padding)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"sequence {seq.name}, {exc}") from exc
         frame_scores = []
         for t, pred in enumerate(preds, start=1):
             gt = unpad(seq.masks[t].data, seq.padding)

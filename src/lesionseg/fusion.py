@@ -13,7 +13,7 @@ convolution before weighting, since the weighted sum needs equal widths.
 from __future__ import annotations
 
 from .autodiff import Tensor, concat, linear, mul, pool2d, relu, reshape, sigmoid
-from .backbone import Conv, Initializer, _flatten_params
+from .backbone import Conv, Initializer
 from .errors import ShapeError
 
 FC_REDUCTION = 4   # hidden width of a head is channels // FC_REDUCTION
@@ -29,9 +29,6 @@ class FcHead:
         self.b1 = Initializer.bias(hidden)
         self.w2 = init.dense(channels, hidden)
         self.b2 = Initializer.bias(channels)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
 def channel_weights(x: Tensor, head: FcHead) -> Tensor:
@@ -78,14 +75,6 @@ class WeightedFusion:
             weights.insert(1, channel_weights(spatial, self.head_spatial))
         return weighted_sum(features, weights)
 
-    def params(self) -> dict[str, Tensor]:
-        return _flatten_params({
-            "lift": self.lift,
-            "head_temporal": self.head_temporal,
-            "head_spatial": self.head_spatial,
-            "head_coarse": self.head_coarse,
-        })
-
 
 class ConcatReduce:
     """Fallback fusion with the weighting disabled: concat then 1x1 conv."""
@@ -95,6 +84,3 @@ class ConcatReduce:
 
     def __call__(self, a: Tensor, b: Tensor) -> Tensor:
         return self.reduce(concat([a, b], axis=0))
-
-    def params(self) -> dict[str, Tensor]:
-        return _flatten_params({"reduce": self.reduce})

@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, clamp, log, tmean, tsum
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, is_binary, is_probability
 
 CLAMP_EPS = 1e-7
 THRESHOLD = 0.5   # a pixel with probability >= THRESHOLD is lesion
-
-
-def _check_binary(gt: np.ndarray, what: str = "ground truth") -> None:
-    if not np.isin(np.unique(gt), (0.0, 1.0)).all():
-        raise ValidationError(f"{what} must be strictly binary")
 
 
 def ce_loss(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
@@ -38,7 +33,8 @@ def ce_loss(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
     for pred, gt in pairs:
         if pred.shape != gt.shape:
             raise ShapeError(f"pred/gt shape mismatch: {pred.shape} vs {gt.shape}")
-        _check_binary(gt.data)
+        if not is_binary(gt.data):
+            raise ValidationError("ground truth must be strictly binary")
         p = clamp(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
         term = tmean(-(gt * log(p) + (1.0 - gt) * log(1.0 - p)))
         total = term if total is None else total + term
@@ -60,8 +56,9 @@ def segmentation_metrics(pred_prob: np.ndarray,
     gt = np.asarray(gt, dtype=np.float64)
     if pred_prob.shape != gt.shape:
         raise ShapeError(f"pred/gt shape mismatch: {pred_prob.shape} vs {gt.shape}")
-    _check_binary(gt)
-    if not ((pred_prob >= 0.0) & (pred_prob <= 1.0)).all():   # NaN fails both
+    if not is_binary(gt):
+        raise ValidationError("ground truth must be strictly binary")
+    if not is_probability(pred_prob):
         raise ValidationError("prediction must hold finite probabilities in [0, 1]")
 
     sr = pred_prob >= THRESHOLD

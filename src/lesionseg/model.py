@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .backbone import Conv, Decoder, Encoder, Initializer, _flatten_params
+from .backbone import Conv, Decoder, Encoder, Initializer, named_parameters
 from .errors import ValidationError
 from .fusion import ConcatReduce, WeightedFusion
 
@@ -92,8 +92,6 @@ class SegmentationModel:
         elif cfg.use_sfm:
             self.reduce = ConcatReduce(init, cfg.value_channels)
 
-    # -- branch plumbing -------------------------------------------------
-
     def coarse_tap(self, skips: list[Tensor]) -> Tensor:
         """Project the configured encoder stage to (C/8, h, w)."""
         assert self.tap_proj is not None, "coarse tap exists only with fusion enabled"
@@ -109,35 +107,13 @@ class SegmentationModel:
             return self.reduce(temporal, spatial)
         return temporal
 
-    # -- parameter registry ----------------------------------------------
-
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor map over every trainable parameter."""
-        named: dict[str, object] = {"encoder": self.encoder, "decoder": self.decoder}
-        if self.tap_proj is not None:
-            named["tap_proj"] = self.tap_proj
-        if self.fusion is not None:
-            named["fusion"] = self.fusion
-        if self.reduce is not None:
-            named["reduce"] = self.reduce
-        return _flatten_params(named)
+        return named_parameters(self)
 
     def zero_grad(self) -> None:
         for p in self.parameters().values():
             p.zero_grad()
-
-    def describe(self) -> str:
-        """Human-readable per-parameter shape table with the total count."""
-        lines = []
-        total = 0
-        for name, p in self.parameters().items():
-            lines.append(f"{name}\t{'x'.join(map(str, p.shape))}\t{p.size}")
-            total += p.size
-        lines.append(f"total\t\t{total}")
-        return "\n".join(lines)
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
 
     def load_parameter_data(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite parameter values in place; names and shapes must match."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_binary
 
 _WHITESPACE = b" \t\r\n"
 
@@ -53,6 +53,8 @@ def read_netpbm(path: str | Path) -> np.ndarray:
             raise ValidationError(f"{path}: netpbm width, height and maxval {header} "
                                   "must be non-negative integers")
         width, height, maxval = map(int, header)
+        if width == 0 or height == 0:
+            raise ValidationError(f"{path}: zero-size netpbm image {width}x{height}")
         if not 0 < maxval < 256:
             raise ValidationError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
         channels = 3 if magic == b"P6" else 1
@@ -94,8 +96,7 @@ def write_mask(path: str | Path, mask: np.ndarray) -> None:
         mask = mask[0]
     if mask.ndim != 2:
         raise ValidationError(f"write_mask expects a 2-d mask, got shape {mask.shape}")
-    values = np.unique(mask)
-    if not np.isin(values, (0.0, 1.0)).all():
+    if not is_binary(mask):
         raise ValidationError("write_mask: mask is not binary; threshold it first")
     write_pgm(path, mask)
 

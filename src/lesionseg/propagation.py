@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor, sigmoid
 from .data import Padding, unpad
-from .errors import ValidationError
+from .errors import TrainingDivergedError, ValidationError, is_binary
 from .model import SegmentationModel
 from .spatial import apply_prior, spatial_read
 from .temporal import MemoryBank, memory_read
@@ -43,8 +43,7 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
         raise ValidationError("propagation needs the first frame's ground-truth mask")
     if gt_mask.shape != frame.shape:
         raise ValidationError(f"mask shape {gt_mask.shape} != frame shape {frame.shape}")
-    values = np.unique(gt_mask.data)
-    if not np.isin(values, (0.0, 1.0)).all():
+    if not is_binary(gt_mask.data):
         raise ValidationError("first-frame mask must be binary {0, 1}")
     seeded = model.encoder.encode(frame, mask=gt_mask)
     memory = MemoryBank(capacity=model.config.memory_capacity)
@@ -69,6 +68,8 @@ def step(model: SegmentationModel, state: PropagationState,
         spatial = spatial_read(current.key, state.prev_key, gated.value)
     fused = model.merge_branches(temporal, spatial, current.skips)
     pred = sigmoid(model.decoder.decode(fused, current.skips))
+    if np.isnan(pred.data).any():   # the memory and the next prior would refuse it
+        raise TrainingDivergedError(f"frame {state.frame_index}: the model predicted NaN")
 
     remembered = model.encoder.encode(frame, mask=pred)
     state.memory.append(remembered.key, remembered.value)

@@ -12,7 +12,7 @@ propagation state only carries the mask and key from step to step.
 from __future__ import annotations
 
 from .autodiff import Tensor, mul
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, is_probability
 from .temporal import attention_read
 
 
@@ -20,8 +20,8 @@ def apply_prior(prior_mask: Tensor, frame: Tensor) -> Tensor:
     """Gate a frame with the previous prediction, at full image resolution."""
     if prior_mask.shape != frame.shape:
         raise ShapeError(f"mask shape {prior_mask.shape} != frame shape {frame.shape}")
-    lo, hi = prior_mask.data.min(), prior_mask.data.max()
-    if lo < 0.0 or hi > 1.0:
+    if not is_probability(prior_mask.data):
+        lo, hi = prior_mask.data.min(), prior_mask.data.max()
         raise ValidationError(
             f"prior mask values in [{lo:.3g}, {hi:.3g}] outside [0, 1]; "
             "pass the sigmoided probability map, not logits")

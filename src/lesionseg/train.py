@@ -106,8 +106,11 @@ def train(config: RunConfig, sequences: list[VideoSequence],
         clip = next(streams[int(rng.integers(len(streams)))])
         model.zero_grad()
         with Tape() as tape:
-            loss, _ = clip_loss(model, clip)
-            value = loss.item()
+            try:
+                loss, _ = clip_loss(model, clip)
+                value = loss.item()
+            except TrainingDivergedError:   # a NaN prediction, before any loss
+                value = float("nan")
             if not np.isfinite(value):
                 tail = ", ".join(f"{v:.4g}" for v in result.losses[-5:])
                 raise TrainingDivergedError(

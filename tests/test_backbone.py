@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor, grad_check, sigmoid, tmean
-from lesionseg.backbone import Decoder, Encoder, Initializer
+from lesionseg.backbone import Decoder, Encoder, Initializer, named_parameters
 from lesionseg.errors import ShapeError, ValidationError
 from lesionseg.model import ModelConfig
 
@@ -58,6 +58,10 @@ def test_mask_channel_validation():
         enc.encode(frame, mask=Tensor(np.zeros((1, 8, 8))))
     with pytest.raises(ValidationError):
         enc.encode(frame, mask=Tensor(np.full((1, 16, 16), 1.5)))
+    nan_mask = np.full((1, 16, 16), 0.5)
+    nan_mask[0, 7, 2] = np.nan
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        enc.encode(frame, mask=Tensor(nan_mask))
 
 
 def test_mask_channel_changes_embedding():
@@ -70,7 +74,7 @@ def test_mask_channel_changes_embedding():
 
 def test_decoder_zero_inputs_give_bias():
     dec = Decoder(SMALL, Initializer(6))
-    for block in dec.blocks:
+    for block in dec.block:
         block.weight.data[:] = 0.0
     dec.head.weight.data[:] = 0.0
     dec.head.bias.data[:] = 0.7
@@ -125,7 +129,7 @@ def test_decoder_parameter_gradient():
 
 def test_encoder_parameter_count_formula():
     enc = Encoder(ModelConfig(), Initializer(0))
-    total = sum(p.size for p in enc.params().values())
+    total = sum(p.size for p in named_parameters(enc).values())
     # per stage: down conv + two residual convs, all 3x3 with bias
     expect = 0
     chans = [2, 16, 32, 64]

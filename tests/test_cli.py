@@ -283,9 +283,26 @@ def test_verify_only_with_no_such_criterion_exits_2(tmp_path, capsys, only):
     assert out == "" and not (tmp_path / "w").exists()
 
 
-def test_train_without_data_exits_2(capsys):
-    assert main(["train", "--out", "/tmp/nowhere"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_train_without_data_exits_2(tmp_path, capsys):
+    for command in ("train", "ablate"):
+        assert main([command, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {command} needs --data (or data_root in the config file)" in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_without_data_root_exits_2(pipeline, tmp_path, capsys, command):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    config = ckpt / "config.ini"
+    config.write_text(re.sub(r"data_root = .*", "data_root = ", config.read_text()))
+    extra = ["--sequence", "synth002"] if command == "predict" else []
+    rc = main([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {command} needs --data (or data_root in the checkpoint config)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_checkpoint_exits_2(tmp_path, capsys):
@@ -379,6 +396,40 @@ def test_split_file_that_is_not_utf8_exits_2(pipeline, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "train.txt is not UTF-8 text: byte 0 is 0xff" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_file_naming_a_sequence_twice_exits_2(pipeline, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    split = "train" if command == "train" else "val"
+    listing = data / "ImageSets" / f"{split}.txt"
+    name = listing.read_text().split()[0]
+    listing.write_text(listing.read_text() + name + "\n")
+    if command == "train":
+        argv = ["train", "--data", str(data), "--steps", "1"]
+    else:
+        argv = ["eval", "--checkpoint", str(pipeline / "run" / "checkpoint"),
+                "--data", str(data)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(listing) in err
+    assert f"sequence {name!r} more than once" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_zero_size_frames_exits_2(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    for image in sorted(data.glob("*/*/*.pgm")):
+        image.write_bytes(b"P5\n0 0\n255\n")
+    rc = main(["eval", "--checkpoint", str(pipeline / "run" / "checkpoint"),
+               "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero-size netpbm image 0x0" in err
+    assert str(data) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_impossible_synth_geometry_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lesionseg.autodiff import Tensor, grad_check, tsum
-from lesionseg.backbone import Initializer
+from lesionseg.backbone import Initializer, named_parameters
 from lesionseg.errors import ShapeError
 from lesionseg.fusion import (ConcatReduce, FcHead, WeightedFusion, channel_weights,
                               weighted_sum)
@@ -139,4 +139,4 @@ def test_concat_reduce_shape():
     cr = ConcatReduce(Initializer(17), 4)
     out = cr(Tensor(np.zeros((4, 3, 3))), Tensor(np.ones((4, 3, 3))))
     assert out.shape == (4, 3, 3)
-    assert len(cr.params()) == 2
+    assert list(named_parameters(cr)) == ["reduce.weight", "reduce.bias"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lesionseg.autodiff import Tape, Tensor, tsum
-from lesionseg.errors import ShapeError, ValidationError
+from lesionseg.errors import ShapeError, ValidationError, is_binary, is_probability
 from lesionseg.metrics import MetricsReport, ce_loss, segmentation_metrics
 
 
@@ -94,6 +94,8 @@ class TestSegmentationMetrics:
     def test_nonbinary_gt_rejected(self):
         with pytest.raises(ValidationError):
             segmentation_metrics(np.zeros((2, 2)), np.full((2, 2), 0.3))
+        with pytest.raises(ValidationError, match="binary"):
+            segmentation_metrics(np.zeros((2, 2)), np.array([[0.0, np.nan], [1.0, 0.0]]))
 
     def test_non_finite_prediction_rejected(self):
         # an all-NaN map binarizes to an empty mask: against an empty GT it
@@ -152,6 +154,8 @@ class TestCeLoss:
     def test_nonbinary_gt_rejected(self):
         with pytest.raises(ValidationError):
             ce_loss([(Tensor(np.zeros((2, 2))), Tensor(np.full((2, 2), 0.4)))])
+        with pytest.raises(ValidationError, match="binary"):
+            ce_loss([(Tensor(np.zeros((2, 2))), Tensor(np.array([[np.nan, 1.0], [0.0, 1.0]])))])
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError):
@@ -183,6 +187,21 @@ class TestCeLoss:
         # d/dp of -[g log p + (1-g) log(1-p)] = (p - g) / (p (1-p)), / N for the mean
         expected = (pred.data - gt.data) / (pred.data * (1 - pred.data)) / pred.data.size
         assert np.allclose(pred.grad, expected, atol=1e-12)
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e-300, 1.0 + 1e-12, 7.0,
+                           np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_VALUES, max_size=6))
+def test_value_rules_accept_what_the_old_checks_accepted_and_refuse_nan(values):
+    x = np.array(values, dtype=np.float64)
+    # the binary rule the mask sites used to spell out with np.unique
+    assert is_binary(x) == bool(np.isin(np.unique(x), (0.0, 1.0)).all())
+    # the old min/max range test, plus NaN, which it let through
+    old_range = x.size == 0 or (x.min() >= 0.0 and x.max() <= 1.0)
+    assert is_probability(x) == (old_range and not np.isnan(x).any())
 
 
 class TestMetricsReport:

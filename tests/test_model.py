@@ -51,11 +51,52 @@ def test_coarse_tap_shape_per_stage(tap):
 
 
 def test_default_parameter_count():
-    model = SegmentationModel(ModelConfig(), seed=0)
-    assert model.parameter_count() == 151673
-    described = model.describe()
-    assert described.splitlines()[-1] == "total\t\t151673"
-    assert len(model.parameters()) == 44
+    params = SegmentationModel(ModelConfig(), seed=0).parameters()
+    assert sum(p.size for p in params.values()) == 151673
+    assert len(params) == 44
+
+
+# Checkpoint tensor names, blob order and shapes of the default widths.
+# Every row shares the encoder and decoder; the rows differ in what follows.
+SHARED_PARAMETERS = [
+    ("encoder.stage0.down.weight", (16, 2, 3, 3)), ("encoder.stage0.down.bias", (16,)),
+    ("encoder.stage0.res1.weight", (16, 16, 3, 3)), ("encoder.stage0.res1.bias", (16,)),
+    ("encoder.stage0.res2.weight", (16, 16, 3, 3)), ("encoder.stage0.res2.bias", (16,)),
+    ("encoder.stage1.down.weight", (32, 16, 3, 3)), ("encoder.stage1.down.bias", (32,)),
+    ("encoder.stage1.res1.weight", (32, 32, 3, 3)), ("encoder.stage1.res1.bias", (32,)),
+    ("encoder.stage1.res2.weight", (32, 32, 3, 3)), ("encoder.stage1.res2.bias", (32,)),
+    ("encoder.stage2.down.weight", (64, 32, 3, 3)), ("encoder.stage2.down.bias", (64,)),
+    ("encoder.stage2.res1.weight", (64, 64, 3, 3)), ("encoder.stage2.res1.bias", (64,)),
+    ("encoder.stage2.res2.weight", (64, 64, 3, 3)), ("encoder.stage2.res2.bias", (64,)),
+    ("encoder.key_head.weight", (8, 64, 1, 1)), ("encoder.key_head.bias", (8,)),
+    ("encoder.value_head.weight", (32, 64, 1, 1)), ("encoder.value_head.bias", (32,)),
+    ("decoder.block0.weight", (32, 64, 3, 3)), ("decoder.block0.bias", (32,)),
+    ("decoder.block1.weight", (16, 48, 3, 3)), ("decoder.block1.bias", (16,)),
+    ("decoder.head.weight", (1, 16, 1, 1)), ("decoder.head.bias", (1,)),
+]
+CONCAT_PARAMETERS = [("reduce.reduce.weight", (32, 64, 1, 1)), ("reduce.reduce.bias", (32,))]
+FUSION_PARAMETERS = [
+    ("tap_proj.weight", (8, 64, 1, 1)), ("tap_proj.bias", (8,)),
+    ("fusion.lift.weight", (32, 8, 1, 1)), ("fusion.lift.bias", (32,)),
+    ("fusion.head_temporal.w1", (8, 64)), ("fusion.head_temporal.b1", (8,)),
+    ("fusion.head_temporal.w2", (32, 8)), ("fusion.head_temporal.b2", (32,)),
+    ("fusion.head_spatial.w1", (8, 64)), ("fusion.head_spatial.b1", (8,)),
+    ("fusion.head_spatial.w2", (32, 8)), ("fusion.head_spatial.b2", (32,)),
+    ("fusion.head_coarse.w1", (8, 64)), ("fusion.head_coarse.b1", (8,)),
+    ("fusion.head_coarse.w2", (32, 8)), ("fusion.head_coarse.b2", (32,)),
+]
+
+
+@pytest.mark.parametrize("toggles, expected", [
+    ({}, SHARED_PARAMETERS + FUSION_PARAMETERS),                     # default
+    ({"use_sfm": False, "use_msff": False}, SHARED_PARAMETERS),      # baseline
+    ({"use_sfm": True, "use_msff": False}, SHARED_PARAMETERS + CONCAT_PARAMETERS),   # +sfm
+    ({"use_sfm": False, "use_msff": True}, SHARED_PARAMETERS + FUSION_PARAMETERS),   # +msff
+    ({"use_sfm": True, "use_msff": True}, SHARED_PARAMETERS + FUSION_PARAMETERS),    # full
+], ids=["default", "baseline", "+sfm", "+msff", "full"])
+def test_parameter_names_order_and_shapes(toggles, expected):
+    params = SegmentationModel(ModelConfig(**toggles), seed=0).parameters()
+    assert [(name, p.shape) for name, p in params.items()] == expected
 
 
 def test_run_config_builds_the_default_model_network():

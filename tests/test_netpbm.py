@@ -74,6 +74,18 @@ def test_binarization_threshold_128(tmp_path):
 def test_write_mask_rejects_nonbinary(tmp_path):
     with pytest.raises(ValidationError):
         write_mask(tmp_path / "bad.pgm", np.full((2, 2), 0.5))
+    with pytest.raises(ValidationError, match="not binary"):
+        write_mask(tmp_path / "nan.pgm", np.array([[0.0, 1.0], [np.nan, 1.0]]))
+    assert not (tmp_path / "nan.pgm").exists()
+
+
+@pytest.mark.parametrize("size", ["0 0", "0 3", "3 0"])
+def test_zero_size_image_rejected_naming_the_file(tmp_path, size):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(f"P5\n{size}\n255\n".encode("ascii"))
+    with pytest.raises(ValidationError, match="zero-size") as exc:
+        read_netpbm(path)
+    assert str(path) in str(exc.value)
 
 
 def test_truncated_file(tmp_path):

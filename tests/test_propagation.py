@@ -5,7 +5,7 @@ import pytest
 
 from lesionseg.autodiff import Tensor, sigmoid
 from lesionseg.data import Padding, pad_to_multiple
-from lesionseg.errors import ValidationError
+from lesionseg.errors import TrainingDivergedError, ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
 from lesionseg.propagation import init, propagate, step
 from lesionseg.synth import SynthConfig, synth_generate
@@ -41,6 +41,10 @@ def test_init_rejects_bad_masks():
         init(model, seq.frames[0], Tensor(np.full(seq.frames[0].shape, 0.5)))
     with pytest.raises(ValidationError):
         init(model, seq.frames[0], Tensor(np.zeros((1, 8, 8))))
+    nan_mask = seq.masks[0].data.copy()
+    nan_mask[0, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="binary"):
+        init(model, seq.frames[0], Tensor(nan_mask))
 
 
 def test_step_advances_state():
@@ -77,6 +81,23 @@ def test_memory_capacity_monotone_with_pinned_first():
         state, _ = step(model, state, seq.frames[t])
         assert len(state.memory) == min(1 + t, 2)
     assert (state.memory.keys[0].data == seeded_key).all()
+
+
+@pytest.mark.parametrize("extra", [0, 1, 5])
+def test_memory_capacity_of_every_frame_equals_unlimited(extra):
+    seq = small_seq(seed=10, frames=5)
+    unlimited = propagate(small_model(memory_capacity=0), seq.frames, seq.masks[0])
+    capped = propagate(small_model(memory_capacity=len(seq.frames) + extra),
+                       seq.frames, seq.masks[0])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(unlimited, capped))
+
+
+def test_a_nan_prediction_is_refused_before_it_reaches_the_memory():
+    model = small_model()
+    model.decoder.head.bias.data[:] = np.nan
+    seq = small_seq(seed=11, frames=3)
+    with pytest.raises(TrainingDivergedError, match="frame 1: the model predicted NaN"):
+        propagate(model, seq.frames, seq.masks[0])
 
 
 def test_propagate_count_and_determinism():

@@ -39,6 +39,14 @@ def test_logit_mask_rejected():
         apply_prior(Tensor(np.zeros((1, 8, 8))), frame)
 
 
+def test_nan_prior_rejected():
+    # a NaN minimum fails both `< 0` and `> 1`, so a min/max test let it through
+    prior = np.full((1, 8, 8), 0.5)
+    prior[0, 3, 5] = np.nan
+    with pytest.raises(ValidationError, match="sigmoid"):
+        apply_prior(Tensor(prior), Tensor(np.ones((1, 8, 8))))
+
+
 def test_zero_mask_zero_bias_zeroes_value():
     # gating with an all-zero mask must silence the value head end to end
     enc = Encoder(SMALL, Initializer(2))

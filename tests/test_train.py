@@ -182,6 +182,13 @@ def test_evaluate_names_the_sequence_and_frame_of_a_bad_prediction(monkeypatch):
         evaluate(trained_model(steps=0), tiny_sequences(1))
 
 
+def test_evaluate_names_the_sequence_of_a_nan_prediction():
+    model = trained_model(steps=0)
+    model.decoder.head.bias.data[:] = np.nan
+    with pytest.raises(TrainingDivergedError, match="sequence seq0, frame 1: the model predicted NaN"):
+        evaluate(model, tiny_sequences(1))
+
+
 def test_evaluate_dump_writes_binary_masks(tmp_path):
     from lesionseg.netpbm import read_mask
     from lesionseg.propagation import propagate
