@@ -10,7 +10,12 @@ Conventions:
   tape is active append one node each; ``tape.backward(root)`` replays the
   nodes in reverse execution order, which is always a valid reverse
   topological order.  Outside a tape every operation is a plain forward
-  evaluation and produces tensors with ``requires_grad=False``.
+  evaluation and produces tensors with ``requires_grad=False``;
+* each operation states its forward value and one vector-Jacobian product
+  (VJP) per input, as ``(input, vjp)`` pairs handed to ``_record``.  The
+  tape runs an input's VJP only if that input requires grad, and
+  accumulates the results in the order the pairs are listed.  No
+  operation tests ``requires_grad`` itself.
 
 Convolution uses cross-correlation semantics (no kernel flip).  Max-pool
 gradient ties are broken toward the first maximum in row-major order.
@@ -165,14 +170,25 @@ def recording(inputs: Iterable[Tensor]) -> bool:
     return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
 
 
-def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap op output; append a tape node when recording is live."""
-    if recording(inputs):
-        out = Tensor(out_data, requires_grad=True)
-        _TAPE_STACK[-1].nodes.append(_Node(out, backward))
-        return out
-    return Tensor(out_data)
+def _record(out_data: np.ndarray,
+            *pairs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Wrap an op's output, given one ``(input, vjp)`` pair per input.
+
+    When recording is live, append the node that accumulates ``vjp(g)``
+    into each input that requires grad, in the order the pairs are given.
+    """
+    # the tape test first, so an untaped op builds no generator
+    if not (_TAPE_STACK and recording(t for t, _ in pairs)):
+        return Tensor(out_data)
+    out = Tensor(out_data, requires_grad=True)
+
+    def backward(g: np.ndarray) -> None:
+        for t, vjp in pairs:
+            if t.requires_grad:
+                t.accumulate_grad(vjp(g))
+
+    _TAPE_STACK[-1].nodes.append(_Node(out, backward))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -190,57 +206,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _record((a, b), out, backward)
+    return _record(a.data + b.data,
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return _record((a, b), out, backward)
+    return _record(a.data - b.data,
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _record((a, b), out, backward)
+    return _record(a.data * b.data,
+                   (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(-g)
-
-    return _record((a,), -a.data, backward)
+    return _record(-a.data, (a, lambda g: -g))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _record((a,), a.data * mask, backward)
+    return _record(a.data * mask, (a, lambda g: g * mask))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -251,54 +240,29 @@ def sigmoid(a: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * out * (1.0 - out))
-
-    return _record((a,), out, backward)
+    return _record(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def log(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _record((a,), out, backward)
+    return _record(out, (a, lambda g: g / a.data))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * inside)
-
-    return _record((a,), out, backward)
+    return _record(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _record((a,), np.asarray(a.data.sum()), backward)
+    return _record(np.asarray(a.data.sum()), (a, lambda g: np.full_like(a.data, float(g))))
 
 
 def tmean(a: Tensor) -> Tensor:
     """Mean of all elements, as a 0-d tensor."""
-    n = a.size
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g) / n))
-
-    return _record((a,), np.asarray(a.data.mean()), backward)
+    return _record(np.asarray(a.data.mean()),
+                   (a, lambda g: np.full_like(a.data, float(g) / a.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +270,13 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    old = a.shape
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(old))
-
-    return _record((a,), a.data.reshape(shape), backward)
+    return _record(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(a.shape)))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.T))
-
-    return _record((a,), np.ascontiguousarray(a.data.T), backward)
+    return _record(np.ascontiguousarray(a.data.T), (a, lambda g: np.ascontiguousarray(g.T)))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -332,17 +284,14 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not ts:
         raise ShapeError("concat of zero tensors")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+    def part(lo: int, hi: int) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda g: g[lead + (slice(lo, hi),)]
 
-    return _record(ts, out, backward)
+    return _record(out, *((t, part(lo, hi))
+                          for t, lo, hi in zip(ts, offsets[:-1], offsets[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +303,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects matrices, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return _record((a, b), out, backward)
+    return _record(a.data @ b.data,
+                   (a, lambda g: g @ b.data.T),
+                   (b, lambda g: a.data.T @ g))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -372,17 +315,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.shape[1] != x.shape[0] or weight.shape[0] != bias.shape[0]:
         raise ShapeError(
             f"linear shapes disagree: weight {weight.shape}, x {x.shape}, bias {bias.shape}")
-    out = weight.data @ x.data + bias.data
-
-    def backward(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight.accumulate_grad(np.outer(g, x.data))
-        if bias.requires_grad:
-            bias.accumulate_grad(g)
-        if x.requires_grad:
-            x.accumulate_grad(weight.data.T @ g)
-
-    return _record((x, weight, bias), out, backward)
+    return _record(weight.data @ x.data + bias.data,
+                   (weight, lambda g: np.outer(g, x.data)),
+                   (bias, lambda g: g),
+                   (x, lambda g: weight.data.T @ g))
 
 
 def softmax_rows(s: Tensor) -> Tensor:
@@ -394,13 +330,7 @@ def softmax_rows(s: Tensor) -> Tensor:
     shifted = s.data - s.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if s.requires_grad:
-            dot = (g * out).sum(axis=1, keepdims=True)
-            s.accumulate_grad(out * (g - dot))
-
-    return _record((s,), out, backward)
+    return _record(out, (s, lambda g: out * (g - (g * out).sum(axis=1, keepdims=True))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +386,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = wmat @ cols
     out += bias.data[:, None]
-    out = out.reshape(cout, hout, wout)
 
-    def backward(g: np.ndarray) -> None:
-        gflat = g.reshape(cout, hout * wout)
-        if bias.requires_grad:
-            bias.accumulate_grad(gflat.sum(axis=1))
-        if weight.requires_grad:
-            weight.accumulate_grad((gflat @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
-            dcols = (wmat.T @ gflat).reshape(cin, kh, kw, hout, wout)
-            dxp = np.zeros((cin, hp, wp))
-            windows = _windows(dxp, kh, kw, stride, hout, wout)
-            for i in range(kh):
-                for j in range(kw):
-                    windows[:, i, j] += dcols[:, i, j]
-            if padding:
-                dxp = dxp[:, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(dxp)
+    def dx(g: np.ndarray) -> np.ndarray:
+        dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, kh, kw, hout, wout)
+        dxp = np.zeros((cin, hp, wp))
+        windows = _windows(dxp, kh, kw, stride, hout, wout)
+        for i in range(kh):
+            for j in range(kw):
+                windows[:, i, j] += dcols[:, i, j]
+        return dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
 
-    return _record((x, weight, bias), out, backward)
+    return _record(out.reshape(cout, hout, wout),
+                   (bias, lambda g: g.reshape(cout, -1).sum(axis=1)),
+                   (weight, lambda g: (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)),
+                   (x, dx))
 
 
 def pool2d(x: Tensor, mode: str) -> Tensor:
@@ -486,23 +410,17 @@ def pool2d(x: Tensor, mode: str) -> Tensor:
         raise ValueError(f"pool2d mode must be 'max' or 'avg', got {mode!r}")
     c, h, w = x.shape
     flat = x.data.reshape(c, h * w)
-    if mode == "max":
-        argmax = flat.argmax(axis=1)      # first max in row-major order
-        out = flat[np.arange(c), argmax]
+    if mode == "avg":
+        return _record(flat.mean(axis=1),
+                       (x, lambda g: np.broadcast_to(g[:, None, None] / (h * w), x.shape).copy()))
+    argmax = flat.argmax(axis=1)      # first max in row-major order
 
-        def backward(g: np.ndarray) -> None:
-            if x.requires_grad:
-                dflat = np.zeros_like(flat)
-                dflat[np.arange(c), argmax] = g
-                x.accumulate_grad(dflat.reshape(x.shape))
-    else:
-        out = flat.mean(axis=1)
+    def dmax(g: np.ndarray) -> np.ndarray:
+        dflat = np.zeros_like(flat)
+        dflat[np.arange(c), argmax] = g
+        return dflat.reshape(x.shape)
 
-        def backward(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(np.broadcast_to((g / (h * w))[:, None, None], x.shape).copy())
-
-    return _record((x,), out, backward)
+    return _record(flat[np.arange(c), argmax], (x, dmax))
 
 
 @lru_cache(maxsize=64)
@@ -526,23 +444,14 @@ def upsample2x(x: Tensor, mode: str = "nearest") -> Tensor:
         raise ShapeError(f"upsample2x expects (C,H,W), got shape {x.shape}")
     c, h, w = x.shape
     if mode == "nearest":
-        out = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-
-        def backward(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
-    elif mode == "bilinear":
+        return _record(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2),
+                       (x, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
+    if mode == "bilinear":
         lh = _bilinear_matrix(h)
         lw = _bilinear_matrix(w)
-        out = np.einsum("ij,cjk,lk->cil", lh, x.data, lw, optimize=True)
-
-        def backward(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(np.einsum("ij,cil,lk->cjk", lh, g, lw, optimize=True))
-    else:
-        raise ValueError(f"upsample2x mode must be 'nearest' or 'bilinear', got {mode!r}")
-
-    return _record((x,), out, backward)
+        return _record(np.einsum("ij,cjk,lk->cil", lh, x.data, lw, optimize=True),
+                       (x, lambda g: np.einsum("ij,cil,lk->cjk", lh, g, lw, optimize=True)))
+    raise ValueError(f"upsample2x mode must be 'nearest' or 'bilinear', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, is_binary
+from .errors import ValidationError, is_binary, is_probability
 
 _WHITESPACE = b" \t\r\n"
 
@@ -67,22 +67,28 @@ def read_netpbm(path: str | Path) -> np.ndarray:
     return pixels.reshape(height, width)
 
 
+def _write(path: str | Path, magic: str, image: np.ndarray) -> None:
+    """Write `image` with maxval 255, refusing a value outside [0, 1] or NaN."""
+    if not is_probability(image):
+        raise ValidationError(f"{path}: pixel values must lie in [0, 1] (NaN is refused)")
+    header = f"{magic}\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + np.rint(image * 255.0).astype(np.uint8).tobytes())
+
+
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
     """Write a (H, W) array in [0, 1] as a binary PGM with maxval 255."""
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValidationError(f"write_pgm expects (H, W), got shape {image.shape}")
-    data = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    _write(path, "P5", image)
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
     """Write a (H, W, 3) array in [0, 1] as a binary PPM with maxval 255."""
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValidationError(f"write_ppm expects (H, W, 3), got shape {image.shape}")
-    data = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    _write(path, "P6", image)
 
 
 def write_mask(path: str | Path, mask: np.ndarray) -> None:

@@ -84,7 +84,8 @@ def propagate(model: SegmentationModel, frames: list[Tensor], first_gt: Tensor,
     Returns N-1 probability maps as numpy arrays, cropped back to the
     original resolution when padding is given. Every frame must be finite
     and shaped like frame 0: one NaN pixel would reach every later
-    prediction through the memory.
+    prediction through the memory. Overflow raises no numpy warning here:
+    its NaN prediction is refused by `step`.
     """
     if len(frames) < 2:
         raise ValidationError(f"propagation needs at least 2 frames, got {len(frames)}")
@@ -94,12 +95,10 @@ def propagate(model: SegmentationModel, frames: list[Tensor], first_gt: Tensor,
                 f"frame {t} has shape {frame.shape}, frame 0 has {frames[0].shape}")
         if not np.isfinite(frame.data).all():
             raise ValidationError(f"frame {t} has non-finite values")
-    state = init(model, frames[0], first_gt)
     preds: list[np.ndarray] = []
-    for frame in frames[1:]:
-        state, pred = step(model, state, frame)
-        out = pred.data
-        if padding is not None:
-            out = unpad(out, padding)
-        preds.append(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init(model, frames[0], first_gt)
+        for frame in frames[1:]:
+            state, pred = step(model, state, frame)
+            preds.append(pred.data if padding is None else unpad(pred.data, padding))
     return preds

@@ -422,6 +422,14 @@ CRITERIA = (
 )
 
 
+def run_criterion(number: int, ws: Workspace) -> CriterionResult:
+    """Run and time one acceptance criterion."""
+    _, name, fn = next(c for c in CRITERIA if c[0] == number)
+    t0 = time.time()
+    passed, detail = fn(ws)
+    return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
+
+
 def run_all(workdir=None, log=print, numbers=None) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one line per criterion."""
     if workdir is None:
@@ -434,13 +442,10 @@ def run_all(workdir=None, log=print, numbers=None) -> list[CriterionResult]:
     ws = Workspace(root)
     results = []
     try:
-        for number, name, fn in CRITERIA:
+        for number, _, _ in CRITERIA:
             if numbers is not None and number not in numbers:
                 continue
-            t0 = time.time()
-            passed, detail = fn(ws)
-            result = CriterionResult(number, name, bool(passed), detail,
-                                     time.time() - t0)
+            result = run_criterion(number, ws)
             results.append(result)
             if log is not None:
                 log(result.line())

@@ -6,8 +6,6 @@ the failure report) and asserts it. The identical checks back the
 on a single CPU core.
 """
 
-import time
-
 import pytest
 
 from lesionseg import verify
@@ -19,13 +17,9 @@ def ws(tmp_path_factory):
 
 
 def _run(number, ws):
-    _, name, fn = next(c for c in verify.CRITERIA if c[0] == number)
-    t0 = time.time()
-    passed, detail = fn(ws)
-    line = verify.CriterionResult(number, name, bool(passed), detail,
-                                  time.time() - t0).line()
-    print(line)
-    assert passed, line
+    result = verify.run_criterion(number, ws)
+    print(result.line())
+    assert result.passed, result.line()
 
 
 def test_criterion_1_gradient_suite(ws):

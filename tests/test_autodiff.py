@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lesionseg import backbone
+from lesionseg import autodiff, backbone
 from lesionseg.autodiff import (
     Tape,
     Tensor,
+    add,
     clamp,
     concat,
     conv2d,
@@ -18,11 +19,13 @@ from lesionseg.autodiff import (
     log,
     matmul,
     mul,
+    neg,
     pool2d,
     relu,
     reshape,
     sigmoid,
     softmax_rows,
+    sub,
     tmean,
     transpose,
     tsum,
@@ -144,23 +147,21 @@ def reference_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = (wmat @ cols + bias.data[:, None]).reshape(cout, hout, wout)
 
-    def backward(g: np.ndarray) -> None:
-        gflat = g.reshape(cout, hout * wout)
-        if bias.requires_grad:
-            bias.accumulate_grad(gflat.sum(axis=1))
-        if weight.requires_grad:
-            weight.accumulate_grad((gflat @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
-            dcols = (wmat.T @ gflat).reshape(cin, kh, kw, hout, wout)
-            dxp = np.zeros((cin, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcols[:, i, j]
-            if padding:
-                dxp = dxp[:, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(dxp)
+    def dx(g: np.ndarray) -> np.ndarray:
+        dcols = (wmat.T @ g.reshape(cout, hout * wout)).reshape(cin, kh, kw, hout, wout)
+        dxp = np.zeros((cin, hp, wp))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcols[:, i, j]
+        if padding:
+            dxp = dxp[:, padding:padding + h, padding:padding + w]
+        return dxp
 
-    return _record((x, weight, bias), out, backward)
+    return _record(out,
+                   (bias, lambda g: g.reshape(cout, hout * wout).sum(axis=1)),
+                   (weight,
+                    lambda g: (g.reshape(cout, hout * wout) @ cols.T).reshape(weight.shape)),
+                   (x, dx))
 
 
 def conv_and_grads(conv, x, w, b, stride, padding, upstream):
@@ -338,6 +339,63 @@ def test_every_op_grad_checks(seed):
     for name, f, x in op_cases(rng):
         err = grad_check(f, x)
         assert err < 1e-4, f"{name}: max relative error {err:.3e}"
+
+
+OPERAND_SHAPES = {   # every differentiable op, and the shapes of its operands
+    "add": (add, [(3, 4), (3, 1)]),
+    "sub": (sub, [(3, 4), (3, 1)]),
+    "mul": (mul, [(3, 4), (3, 1)]),
+    "neg": (neg, [(3,)]),
+    "relu": (relu, [(3,)]),
+    "sigmoid": (sigmoid, [(3,)]),
+    "log": (log, [(3,)]),
+    "clamp": (lambda t: clamp(t, 0.8, 1.5), [(3,)]),
+    "tsum": (tsum, [(3,)]),
+    "tmean": (tmean, [(3,)]),
+    "reshape": (lambda t: reshape(t, (6,)), [(2, 3)]),
+    "transpose": (transpose, [(2, 3)]),
+    "concat": (lambda *ts: concat(ts, axis=1), [(2, 3), (2, 1), (2, 2)]),
+    "matmul": (matmul, [(2, 3), (3, 4)]),
+    "linear": (linear, [(3,), (2, 3), (2,)]),
+    "softmax_rows": (softmax_rows, [(2, 3)]),
+    "conv2d": (lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
+               [(2, 5, 5), (3, 2, 3, 3), (3,)]),
+    "pool_max": (lambda t: pool2d(t, "max"), [(2, 3, 3)]),
+    "pool_avg": (lambda t: pool2d(t, "avg"), [(2, 3, 3)]),
+    "upsample_nearest": (lambda t: upsample2x(t, "nearest"), [(2, 3, 3)]),
+    "upsample_bilinear": (lambda t: upsample2x(t, "bilinear"), [(2, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", OPERAND_SHAPES)
+def test_a_constant_operand_gets_no_grad(name):
+    op, shapes = OPERAND_SHAPES[name]
+    rng = np.random.default_rng(4)
+    arrays = [rng.uniform(0.5, 2.0, shape) for shape in shapes]   # positive, for log
+    for const in range(len(arrays)):
+        ts = [Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
+        anchor = Tensor(1.0, requires_grad=True)   # keeps the root taped
+        with Tape() as tape:
+            out = mul(tsum(op(*ts)), anchor)
+        tape.backward(out)
+        assert ts[const].grad is None, const
+        assert all(t.grad is not None for t in ts if t.requires_grad), const
+
+
+@pytest.mark.parametrize("x_requires_grad", [False, True])
+def test_a_constant_conv_input_costs_no_dx_work(monkeypatch, x_requires_grad):
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=x_requires_grad)
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    with Tape() as tape:
+        out = tsum(conv2d(x, w, b, padding=1))
+    windows = []
+    monkeypatch.setattr(autodiff, "_windows",
+                        lambda *args, inner=autodiff._windows: windows.append(args) or inner(*args))
+    tape.backward(out)
+    assert bool(windows) == x_requires_grad
+    assert (x.grad is not None) == x_requires_grad and w.grad is not None and b.grad is not None
 
 
 def test_tape_replays_each_node_once():

@@ -4,15 +4,18 @@ verify, flag precedence, and error exits."""
 import argparse
 import dataclasses
 import functools
+import hashlib
 import importlib.metadata
 import importlib.util
 import inspect
+import json
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +325,24 @@ def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
     assert rc == 2
     assert "non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.tsv").exists()
+
+
+def test_eval_of_an_overflowing_checkpoint_prints_only_the_error(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    blob = np.full((ckpt / "params.bin").stat().st_size // 4, 3e38, dtype="<f4").tobytes()
+    (ckpt / "params.bin").write_bytes(blob)   # finite, so only propagation can refuse it
+    state = json.loads((ckpt / "state.txt").read_text())
+    state["params_sha256"] = hashlib.sha256(blob).hexdigest()
+    (ckpt / "state.txt").write_text(json.dumps(state))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
+                   "--split", "val"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: sequence synth\d+, frame 1: the model predicted NaN\n", err), err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 UNPARSABLE = {   # file, and what the corruption makes of its bytes

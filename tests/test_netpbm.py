@@ -93,3 +93,15 @@ def test_truncated_file(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         read_netpbm(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.2])
+@pytest.mark.parametrize("writer, shape", [(write_pgm, (2, 3)), (write_ppm, (2, 3, 3))])
+def test_frame_writers_refuse_values_outside_unit_range(tmp_path, writer, shape, bad):
+    image = np.full(shape, 0.5)
+    image[1, 1] = bad
+    path = tmp_path / "bad.pnm"
+    with pytest.raises(ValidationError, match=r"\[0, 1\]") as exc:
+        writer(path, image)
+    assert str(path) in str(exc.value)
+    assert not path.exists()

@@ -9,7 +9,7 @@ from lesionseg.errors import TrainingDivergedError, ValidationError
 from lesionseg.model import ModelConfig, SegmentationModel
 from lesionseg.propagation import init, propagate, step
 from lesionseg.synth import SynthConfig, synth_generate
-from lesionseg.temporal import memory_read
+from lesionseg.temporal import CHUNK_SCORES, memory_read
 
 SMALL_CHANNELS = (4, 8)
 
@@ -122,6 +122,20 @@ def test_causality_future_frames_do_not_matter():
     b = propagate(model, frames, seq.masks[0])
     assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
     assert not (a[2] == b[2]).all()
+
+
+@pytest.mark.parametrize("resolution, frames", [(64, 8), (128, 6)])
+def test_a_prefix_predicts_bitwise_what_the_whole_sequence_does(resolution, frames):
+    """No frame sees the future, with one-chunk (64x64) and multi-chunk
+    (128x128) memory reads."""
+    model = SegmentationModel(ModelConfig(), seed=0)
+    seq = synth_generate(SynthConfig(resolution=resolution, frames=frames), 12)
+    positions = (resolution // model.config.total_stride) ** 2
+    assert ((frames - 1) * positions ** 2 <= CHUNK_SCORES) == (resolution == 64)
+    whole = propagate(model, seq.frames, seq.masks[0])
+    for k in range(2, frames):
+        prefix = propagate(model, seq.frames[:k], seq.masks[0])
+        assert [p.tobytes() for p in prefix] == [p.tobytes() for p in whole[:k - 1]], k
 
 
 def test_propagate_unpads_to_original_resolution():
