@@ -90,9 +90,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -457,16 +454,15 @@ def upsample2x(x: Tensor, mode: str = "nearest") -> Tensor:
 # ---------------------------------------------------------------------------
 # verification
 
+GRAD_CHECK_EPS = 1e-5   # central-difference step
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare the taped gradient of scalar ``f`` at ``x`` to central differences.
 
     Returns the maximum elementwise relative error with denominator
     ``max(|analytic|, |numeric|, 1e-8)``.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
-
     probe = Tensor(x.data.copy(), requires_grad=True)
     with Tape() as tape:
         out = f(probe)
@@ -484,12 +480,12 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
         orig = flat[i]
         for sign in (+1.0, -1.0):
             bumped = flat.copy()
-            bumped[i] = orig + sign * eps
+            bumped[i] = orig + sign * GRAD_CHECK_EPS
             val = f(Tensor(bumped.reshape(x.shape))).data
             if not np.isfinite(val).all():
                 raise EvaluationError("grad_check target produced a non-finite value")
             nflat[i] += sign * float(val)
-        nflat[i] /= 2.0 * eps
+        nflat[i] /= 2.0 * GRAD_CHECK_EPS
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

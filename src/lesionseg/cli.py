@@ -19,7 +19,6 @@ from .config import RunConfig, apply_overrides, load_config, save_config
 from .data import load_dataset
 from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, dump_masks, evaluate
-from .model import TAP_CHOICES
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
 from .train import LOSS_WINDOW, smoothed, train
@@ -33,8 +32,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=None, help="SGD updates to run")
     parser.add_argument("--lr", dest="learning_rate", type=float, default=None)
     parser.add_argument("--momentum", type=float, default=None)
-    parser.add_argument("--encoder-tap", dest="encoder_tap", type=int,
-                        choices=TAP_CHOICES, default=None)
+    parser.add_argument("--encoder-tap", dest="encoder_tap", type=int, default=None)
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int,
                         default=None, help="max remembered frames (0 = unlimited)")
     for flag, dest, meaning in (
@@ -158,7 +156,7 @@ def cmd_verify(args) -> int:
             raise ValidationError(f"--only takes comma-separated criterion numbers "
                                   f"{valid[0]}-{valid[-1]}, got {args.only!r}")
         numbers = sorted(map(int, words))
-    results = run_all(workdir=args.workdir, log=print, numbers=numbers)
+    results = run_all(workdir=args.workdir, numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import read_text
 from .errors import ValidationError
+from .model import ModelConfig
 from .netpbm import read_mask, read_netpbm, write_mask, write_pgm
 
 
@@ -151,7 +152,8 @@ def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
     )
 
 
-def load_dataset(root, split: str | None = None, total_stride: int = 8) -> list[VideoSequence]:
+def load_dataset(root, split: str | None = None,
+                 total_stride: int = ModelConfig().total_stride) -> list[VideoSequence]:
     """Load every sequence under root (or just one split), name-sorted."""
     root = Path(root)
     img_root = root / "JPEGImages"
@@ -206,7 +208,7 @@ def write_sequence(root, seq_name: str, frames: list[np.ndarray],
     mask_dir.mkdir(parents=True, exist_ok=True)
     for i, (frame, mask) in enumerate(zip(frames, masks)):
         arr = frame[0] if frame.ndim == 3 else frame
-        write_pgm(frame_dir / f"{i:05d}.pgm", np.clip(arr, 0.0, 1.0))
+        write_pgm(frame_dir / f"{i:05d}.pgm", arr)
         write_mask(mask_dir / f"{i:05d}.pgm", mask)
 
 

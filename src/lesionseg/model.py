@@ -111,10 +111,6 @@ class SegmentationModel:
         """Stable name -> tensor map over every trainable parameter."""
         return named_parameters(self)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
-
     def load_parameter_data(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite parameter values in place; names and shapes must match."""
         params = self.parameters()

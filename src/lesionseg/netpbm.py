@@ -8,6 +8,7 @@ which the persistence tests rely on.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,11 @@ def read_netpbm(path: str | Path) -> np.ndarray:
         if not 0 < maxval < 256:
             raise ValidationError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
         channels = 3 if magic == b"P6" else 1
-        payload = fh.read(width * height * channels)
-        if len(payload) != width * height * channels:
+        size = width * height * channels
+        # a header may claim more pixels than memory holds: check before reading
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValidationError(f"{path}: truncated pixel data")
+        payload = fh.read(size)
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
     if channels == 3:
         return pixels.reshape(height, width, 3)

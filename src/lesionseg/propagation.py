@@ -78,13 +78,12 @@ def step(model: SegmentationModel, state: PropagationState,
 
 
 def propagate(model: SegmentationModel, frames: list[Tensor], first_gt: Tensor,
-              padding: Padding | None = None) -> list[np.ndarray]:
+              padding: Padding = Padding()) -> list[np.ndarray]:
     """Predict frames 2..N given the first frame's mask.
 
-    Returns N-1 probability maps as numpy arrays, cropped back to the
-    original resolution when padding is given. Every frame must be finite
-    and shaped like frame 0: one NaN pixel would reach every later
-    prediction through the memory. Overflow raises no numpy warning here:
+    Returns N-1 probability maps as numpy arrays, with `padding` cropped
+    off. Every frame must be finite and shaped like frame 0: one NaN
+    pixel would reach every later prediction through the memory. Overflow raises no numpy warning here:
     its NaN prediction is refused by `step`.
     """
     if len(frames) < 2:
@@ -100,5 +99,5 @@ def propagate(model: SegmentationModel, frames: list[Tensor], first_gt: Tensor,
         state = init(model, frames[0], first_gt)
         for frame in frames[1:]:
             state, pred = step(model, state, frame)
-            preds.append(pred.data if padding is None else unpad(pred.data, padding))
+            preds.append(unpad(pred.data, padding))
     return preds

@@ -20,6 +20,10 @@ from .autodiff import Tensor
 from .data import Padding, VideoSequence, split_names, write_sequence, write_split_files
 from .errors import GenerationError, ValidationError
 
+AXIS_JITTER = 0.2          # per-sequence relative spread of the lesion semi-axes
+BACKGROUND = 0.55          # tissue intensity
+LESION_INTENSITY = 0.22
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -28,15 +32,12 @@ class SynthConfig:
     resolution: int = 64
     frames: int = 5
     axes: tuple[float, float] = (10.0, 7.0)     # lesion semi-axes, pixels
-    axis_jitter: float = 0.2                    # per-sequence relative axis spread
     max_speed: float = 1.0                      # drift, pixels per frame
     deformation: float = 0.08                   # per-frame relative axis wobble
     blur_sigma: float = 1.0
     speckle: float = 0.25                       # multiplicative noise strength
     distractors: int = 2
     distractor_similarity: float = 0.6          # 0 = background, 1 = lesion intensity
-    background: float = 0.55
-    lesion_intensity: float = 0.22
 
     def __post_init__(self):
         if self.resolution < 16:
@@ -47,8 +48,6 @@ class SynthConfig:
             raise ValidationError("ellipse semi-axes must be positive")
         if not 0.0 <= self.deformation < 0.5:
             raise ValidationError("deformation must be in [0, 0.5)")
-        if not 0.0 <= self.axis_jitter < 0.5:
-            raise ValidationError("axis_jitter must be in [0, 0.5)")
         if self.blur_sigma < 0 or self.max_speed < 0:
             raise ValidationError("blur_sigma and max_speed must be >= 0")
         if not 0.0 <= self.speckle <= 1.0:
@@ -57,9 +56,6 @@ class SynthConfig:
             raise ValidationError("distractors must be >= 0")
         if not 0.0 <= self.distractor_similarity <= 1.0:
             raise ValidationError("distractor_similarity must be in [0, 1]")
-        for v in (self.background, self.lesion_intensity):
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError("intensities must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,10 +67,6 @@ class EllipseSpec:
     a: float
     b: float
     angle: float
-
-    @property
-    def area(self) -> float:
-        return float(np.pi * self.a * self.b)
 
 
 def _ellipse_region(res: int, e: EllipseSpec) -> np.ndarray:
@@ -88,8 +80,8 @@ def _ellipse_region(res: int, e: EllipseSpec) -> np.ndarray:
 
 def _lesion_track(cfg: SynthConfig, rng: np.random.Generator) -> list[EllipseSpec]:
     res = cfg.resolution
-    a0 = cfg.axes[0] * (1.0 + cfg.axis_jitter * rng.uniform(-1, 1))
-    b0 = cfg.axes[1] * (1.0 + cfg.axis_jitter * rng.uniform(-1, 1))
+    a0 = cfg.axes[0] * (1.0 + AXIS_JITTER * rng.uniform(-1, 1))
+    b0 = cfg.axes[1] * (1.0 + AXIS_JITTER * rng.uniform(-1, 1))
     center = res / 2.0 + rng.uniform(-res / 16.0, res / 16.0, size=2)
     heading = rng.uniform(0.0, 2.0 * np.pi)
     speed = cfg.max_speed * rng.uniform(0.3, 1.0)
@@ -121,7 +113,7 @@ def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[Ell
     res = cfg.resolution
     track = _lesion_track(cfg, rng)
     blobs = []
-    level = cfg.background - cfg.distractor_similarity * (cfg.background - cfg.lesion_intensity)
+    level = BACKGROUND - cfg.distractor_similarity * (BACKGROUND - LESION_INTENSITY)
     for _ in range(cfg.distractors):
         spec = EllipseSpec(
             cx=float(rng.uniform(0.1 * res, 0.9 * res)),
@@ -133,11 +125,11 @@ def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[Ell
         blobs.append(_ellipse_region(res, spec))
     frames, masks = [], []
     for spec in track:
-        img = np.full((res, res), cfg.background, dtype=np.float64)
+        img = np.full((res, res), BACKGROUND, dtype=np.float64)
         for blob in blobs:
             img[blob] = level
         region = _ellipse_region(res, spec)
-        img[region] = cfg.lesion_intensity
+        img[region] = LESION_INTENSITY
         if cfg.blur_sigma > 0:
             img = gaussian_filter(img, cfg.blur_sigma, mode="nearest")
         if cfg.speckle > 0:

@@ -101,10 +101,12 @@ def train(config: RunConfig, sequences: list[VideoSequence],
     rng = np.random.default_rng([config.seed, 1])   # clip-sampling stream
     streams = [sample_clips(seq, rng) for seq in usable]
     optimizer = SGD(config.learning_rate, config.momentum)
+    params = model.parameters()
     result = TrainResult(model=model, rng=rng)
     for step_idx in range(config.steps):
         clip = next(streams[int(rng.integers(len(streams)))])
-        model.zero_grad()
+        for p in params.values():
+            p.zero_grad()
         with Tape() as tape:
             try:
                 loss, _ = clip_loss(model, clip)
@@ -118,7 +120,7 @@ def train(config: RunConfig, sequences: list[VideoSequence],
                     f"{clip.sequence}[{clip.start}:{clip.start + 3}]; "
                     f"recent losses: [{tail}]; lower the learning rate")
             tape.backward(loss)
-        optimizer.apply(model.parameters())
+        optimizer.apply(params)
         result.losses.append(value)
         if log is not None and (step_idx + 1) % config.log_every == 0:
             window = smoothed(result.losses, LOSS_WINDOW)[-1]

@@ -15,6 +15,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .autodiff import (Tensor, concat, conv2d, grad_check, linear, matmul, mul,
 from .backbone import Encoder, Initializer
 from .checkpoint import BLOB, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import load_dataset, pad_to_multiple, unpad
+from .data import VideoSequence, load_dataset, pad_to_multiple, unpad
 from .evaluate import ablate, evaluate
 from .fusion import FcHead, WeightedFusion, channel_weights
 from .metrics import ce_loss, segmentation_metrics
@@ -70,24 +71,23 @@ class CriterionResult:
 
 
 class Workspace:
-    """Shared fixture directory; benchmark trees are built once."""
+    """Shared fixture directory; each tree is built, and each split loaded, once."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._built: dict[str, Path] = {}
 
-    def overfit_tree(self) -> Path:
-        return self._tree("overfit", OVERFIT_SYNTH, count=2, val_count=0)
+    @cached_property
+    def overfit_train(self) -> list[VideoSequence]:
+        root = self.root / "overfit"
+        make_dataset(root, 2, OVERFIT_SYNTH, seed=0, val_count=0)
+        return load_dataset(root, split="train")
 
-    def bench_tree(self) -> Path:
-        return self._tree("bench", BENCH_SYNTH, count=12, val_count=2)
-
-    def _tree(self, name: str, cfg: SynthConfig, count: int, val_count: int) -> Path:
-        if name not in self._built:
-            root = self.root / name
-            make_dataset(root, count, cfg, seed=0, val_count=val_count)
-            self._built[name] = root
-        return self._built[name]
+    @cached_property
+    def bench(self) -> tuple[list[VideoSequence], list[VideoSequence]]:
+        """The benchmark tree's (train, val) splits."""
+        root = self.root / "bench"
+        make_dataset(root, 12, BENCH_SYNTH, seed=0, val_count=2)
+        return load_dataset(root, split="train"), load_dataset(root, split="val")
 
 
 # -- criterion 1: gradient suite ------------------------------------------
@@ -221,11 +221,11 @@ def criterion_gradients(ws: Workspace):
 # -- criterion 2: metric oracle -------------------------------------------
 
 
-def _pixel_count_oracle(pred, gt, threshold=0.5):
+def _pixel_count_oracle(pred, gt):
     tp = fp = fn = tn = 0
     err = 0.0
     for p, g in zip(pred.ravel(), gt.ravel()):
-        s = 1 if p >= threshold else 0
+        s = 1 if p >= 0.5 else 0
         t = 1 if g >= 0.5 else 0
         tp += s and t
         fp += s and not t
@@ -304,8 +304,7 @@ def criterion_prior_gating(ws: Workspace):
 
 def criterion_overfit(ws: Workspace):
     start = time.time()
-    root = ws.overfit_tree()
-    seqs = load_dataset(root, split="train")
+    seqs = ws.overfit_train
     result = train(OVERFIT_CONFIG, seqs)
     curve = smoothed(result.losses, LOSS_WINDOW)
     initial = float(np.mean(result.losses[:LOSS_WINDOW]))
@@ -319,9 +318,7 @@ def criterion_overfit(ws: Workspace):
 
 
 def criterion_generalization(ws: Workspace):
-    root = ws.bench_tree()
-    train_seqs = load_dataset(root, split="train")
-    val_seqs = load_dataset(root, split="val")
+    train_seqs, val_seqs = ws.bench
     result = train(BENCH_CONFIG, train_seqs)
     report = evaluate(result.model, val_seqs)
     ok = report.dice >= GENERALIZATION_DICE
@@ -330,9 +327,7 @@ def criterion_generalization(ws: Workspace):
 
 
 def criterion_ablation(ws: Workspace):
-    root = ws.bench_tree()
-    train_seqs = load_dataset(root, split="train")
-    val_seqs = load_dataset(root, split="val")
+    train_seqs, val_seqs = ws.bench
     scores = {"full": [], "baseline": []}
     for seed in ABLATION_SEEDS:
         shared = dataclasses.replace(BENCH_CONFIG, steps=ABLATION_STEPS, seed=seed)
@@ -349,8 +344,7 @@ def criterion_ablation(ws: Workspace):
 
 
 def criterion_determinism(ws: Workspace):
-    root = ws.overfit_tree()
-    seqs = load_dataset(root, split="train")
+    seqs = ws.overfit_train
     cfg = dataclasses.replace(OVERFIT_CONFIG, steps=25)
     tables = []
     blobs = []
@@ -430,7 +424,7 @@ def run_criterion(number: int, ws: Workspace) -> CriterionResult:
     return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
 
-def run_all(workdir=None, log=print, numbers=None) -> list[CriterionResult]:
+def run_all(workdir=None, numbers=None) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one line per criterion."""
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="lesionseg-verify-")
@@ -447,13 +441,12 @@ def run_all(workdir=None, log=print, numbers=None) -> list[CriterionResult]:
                 continue
             result = run_criterion(number, ws)
             results.append(result)
-            if log is not None:
-                log(result.line())
-        if log is not None and results:
+            print(result.line())
+        if results:
             total = sum(r.seconds for r in results)
             failed = [r.number for r in results if not r.passed]
             verdict = "all passed" if not failed else f"failed: {failed}"
-            log(f"acceptance: {len(results) - len(failed)}/{len(results)} "
+            print(f"acceptance: {len(results) - len(failed)}/{len(results)} "
                 f"{verdict} [{total:.0f}s total]")
     finally:
         if tmp is not None:

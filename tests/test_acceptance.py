@@ -56,3 +56,19 @@ def test_criterion_8_determinism_and_persistence(ws):
 
 def test_criterion_9_format_fidelity(ws):
     _run(9, ws)
+
+
+def test_workspace_builds_each_tree_and_loads_each_split_once(tmp_path, monkeypatch):
+    built, loaded = [], []
+    monkeypatch.setattr(verify, "make_dataset",
+                        lambda root, *args, **kwargs: built.append(root.name))
+    monkeypatch.setattr(verify, "load_dataset",
+                        lambda root, split: loaded.append((root.name, split)) or [split])
+    ws = verify.Workspace(tmp_path)
+    for _ in range(2):
+        assert ws.overfit_train == ["train"]
+    assert (built, loaded) == (["overfit"], [("overfit", "train")])   # no bench tree
+    for _ in range(2):
+        assert ws.bench == (["train"], ["val"])
+    assert built == ["overfit", "bench"]
+    assert loaded == [("overfit", "train"), ("bench", "train"), ("bench", "val")]

@@ -260,6 +260,7 @@ CORRUPT_FRAMES = {   # what the corruption makes of a frame's bytes
     "magic": lambda b: b"P7" + b[2:],
     "header-not-integer": lambda b: b"P5\nforty-eight 48\n255\n" + b.split(b"\n", 3)[3],
     "truncated": lambda b: b[:-5],
+    "header-claims-10^10-pixels": lambda b: b"P5\n100000 100000\n255\nabc",
 }
 
 
@@ -284,6 +285,14 @@ def test_verify_only_with_no_such_criterion_exits_2(tmp_path, capsys, only):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "1-9" in err
     assert out == "" and not (tmp_path / "w").exists()
+
+
+def test_encoder_tap_out_of_range_exits_2_with_the_config_error(tmp_path, capsys):
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+               "--encoder-tap", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: encoder_tap must be one of (2, 3, 4), got 5\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_without_data_exits_2(tmp_path, capsys):

@@ -180,3 +180,11 @@ def test_loading_emits_no_warnings(tmp_path):
         warnings.simplefilter("always")
         load_dataset(tmp_path)
     assert caught == []
+
+
+@pytest.mark.parametrize("level", [1.5, np.nan])
+def test_write_sequence_refuses_a_frame_outside_unit_range_naming_it(tmp_path, level):
+    bad = np.full((4, 4), 0.5)
+    bad[1, 2] = level
+    with pytest.raises(ValidationError, match=r"00001\.pgm: pixel values must lie in \[0, 1\]"):
+        write_sequence(tmp_path, "seq", [np.full((4, 4), 0.5), bad], [np.zeros((4, 4))] * 2)

@@ -105,3 +105,11 @@ def test_frame_writers_refuse_values_outside_unit_range(tmp_path, writer, shape,
         writer(path, image)
     assert str(path) in str(exc.value)
     assert not path.exists()
+
+
+def test_header_claiming_more_pixels_than_the_file_holds_is_refused_unread(tmp_path):
+    path = tmp_path / "huge.pgm"   # 10^10 claimed pixels, 3 present
+    path.write_bytes(b"P5\n100000 100000\n255\nabc")
+    with pytest.raises(ValidationError, match="truncated pixel data") as exc:
+        read_netpbm(path)
+    assert str(path) in str(exc.value)

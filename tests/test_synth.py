@@ -8,15 +8,15 @@ from scipy.ndimage import label as cc_label
 
 from lesionseg.data import load_dataset
 from lesionseg.errors import GenerationError, ValidationError
-from lesionseg.synth import SynthConfig, generate_with_track, make_dataset, synth_generate
+from lesionseg.synth import (BACKGROUND, LESION_INTENSITY, SynthConfig, generate_with_track,
+                             make_dataset, synth_generate)
 
 CLEAN = SynthConfig(blur_sigma=0.0, speckle=0.0, deformation=0.0, distractors=0)
 
 
 def test_config_validation():
     for bad in (dict(resolution=8), dict(frames=0), dict(axes=(0.0, 5.0)),
-                dict(deformation=0.9), dict(speckle=2.0), dict(distractors=-1),
-                dict(background=1.5)):
+                dict(deformation=0.9), dict(speckle=2.0), dict(distractors=-1)):
         with pytest.raises(ValidationError):
             SynthConfig(**bad)
 
@@ -44,7 +44,7 @@ def test_sequence_structure():
 
 def test_noiseless_frames_threshold_to_exact_mask():
     seq = synth_generate(CLEAN, 5)
-    cut = (CLEAN.background + CLEAN.lesion_intensity) / 2
+    cut = (BACKGROUND + LESION_INTENSITY) / 2
     for frame, mask in zip(seq.frames, seq.masks):
         assert ((frame.data < cut) == (mask.data == 1.0)).all()
 
@@ -62,8 +62,8 @@ def test_mask_area_tracks_analytic_ellipse():
     for seed in (0, 1, 2):
         seq, track = generate_with_track(cfg, seed)
         for mask, spec in zip(seq.masks, track):
-            count = mask.data.sum()
-            assert abs(count - spec.area) / spec.area < 0.02
+            area = np.pi * spec.a * spec.b
+            assert abs(mask.data.sum() - area) / area < 0.02
 
 
 def test_masks_connected_without_distractors():
