@@ -352,7 +352,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels.
 
     Lowered to im2col + one GEMM: the columns are a copy of one strided
-    window view over the zero-padded input.
+    window view over the zero-padded input.  For stride 1 and padding at
+    most k-1 on each axis, the input gradient is the transposed
+    convolution: the output gradient, zero-padded by k-1-padding per
+    axis, cross-correlated with the flipped kernels, as one im2col and
+    one GEMM.  Otherwise it is scattered back one kernel offset at a time.
     """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {weight.shape}")
@@ -384,7 +388,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out = wmat @ cols
     out += bias.data[:, None]
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def dx_transposed(g: np.ndarray) -> np.ndarray:
+        ph, pw = kh - 1 - padding, kw - 1 - padding
+        if ph or pw:
+            gp = np.zeros((cout, hout + 2 * ph, wout + 2 * pw))
+            gp[:, ph:ph + hout, pw:pw + wout] = g
+        else:
+            gp = np.ascontiguousarray(g)
+        gcols = np.ascontiguousarray(
+            _windows(gp, kh, kw, 1, h, w).reshape(cout * kh * kw, h * w))
+        wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        return (wflip @ gcols).reshape(cin, h, w)
+
+    def dx_scatter(g: np.ndarray) -> np.ndarray:
         dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, kh, kw, hout, wout)
         dxp = np.zeros((cin, hp, wp))
         windows = _windows(dxp, kh, kw, stride, hout, wout)
@@ -396,7 +412,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     return _record(out.reshape(cout, hout, wout),
                    (bias, lambda g: g.reshape(cout, -1).sum(axis=1)),
                    (weight, lambda g: (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)),
-                   (x, dx))
+                   (x, dx_transposed if stride == 1 and padding < min(kh, kw) else dx_scatter))
 
 
 def pool2d(x: Tensor, mode: str) -> Tensor:

@@ -173,44 +173,67 @@ def conv_and_grads(conv, x, w, b, stride, padding, upstream):
     return out.data, xt.grad, wt.grad, bt.grad
 
 
+def transposed_path(stride, padding, kh, kw):
+    """Whether conv2d computes the x grad as a transposed conv, not a scatter."""
+    return stride == 1 and padding <= min(kh, kw) - 1
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(c=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
-       cout=st.integers(1, 4), k=st.sampled_from((1, 2, 3, 5)),
-       stride=st.sampled_from((1, 2, 3)), padding=st.sampled_from((0, 1, 2)),
-       transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       cout=st.integers(1, 4), kh=st.sampled_from((1, 2, 3, 5)),
+       kw=st.sampled_from((1, 2, 3, 5)), stride=st.sampled_from((1, 2, 3)),
+       padding=st.sampled_from((0, 1, 2)), transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 # the first two leave a remainder: (H + 2p - k) % stride != 0
-@example(c=2, h=10, w=7, cout=3, k=3, stride=2, padding=1, transposed=False, seed=0)
-@example(c=3, h=9, w=11, cout=2, k=2, stride=3, padding=0, transposed=True, seed=1)
-@example(c=1, h=1, w=1, cout=1, k=5, stride=3, padding=2, transposed=True, seed=2)
-def test_conv2d_is_bitwise_equal_to_the_reference(c, h, w, cout, k, stride, padding,
-                                                  transposed, seed):
-    assume(k <= h + 2 * padding and k <= w + 2 * padding)
+@example(c=2, h=10, w=7, cout=3, kh=3, kw=3, stride=2, padding=1, transposed=False, seed=0)
+@example(c=3, h=9, w=11, cout=2, kh=2, kw=2, stride=3, padding=0, transposed=True, seed=1)
+@example(c=1, h=1, w=1, cout=1, kh=5, kw=5, stride=3, padding=2, transposed=True, seed=2)
+# stride 1: padded by k-1-p = 1 on one axis and 0 on the other; then a
+# padding past kw-1, which keeps the scatter
+@example(c=2, h=6, w=5, cout=3, kh=3, kw=2, stride=1, padding=1, transposed=True, seed=3)
+@example(c=2, h=6, w=5, cout=3, kh=3, kw=1, stride=1, padding=1, transposed=False, seed=4)
+def test_conv2d_agrees_with_the_reference(c, h, w, cout, kh, kw, stride, padding,
+                                          transposed, seed):
+    """Output, weight and bias grads, and scatter-path x grads are bitwise
+    those of the reference; a transposed-conv x grad sums in another order
+    and agrees to 1e-12 of the largest gradient entry."""
+    assume(kh <= h + 2 * padding and kw <= w + 2 * padding)
     rng = np.random.default_rng(seed)
     # a transposed view is a (C, H, W) map that is not C-contiguous
     x = (rng.standard_normal((c, w, h)).transpose(0, 2, 1) if transposed
          else rng.standard_normal((c, h, w)))
-    weight = rng.standard_normal((cout, c, k, k))
+    weight = rng.standard_normal((cout, c, kh, kw))
     bias = rng.standard_normal(cout)
-    upstream = rng.standard_normal((cout, (h + 2 * padding - k) // stride + 1,
-                                    (w + 2 * padding - k) // stride + 1))
+    upstream = rng.standard_normal((cout, (h + 2 * padding - kh) // stride + 1,
+                                    (w + 2 * padding - kw) // stride + 1))
     got = conv_and_grads(conv2d, x, weight, bias, stride, padding, upstream)
     want = conv_and_grads(reference_conv2d, x, weight, bias, stride, padding, upstream)
     for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), got, want):
         assert a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+        if name == "x grad" and transposed_path(stride, padding, kh, kw):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
 
 
-def test_training_is_bitwise_equal_with_the_reference_conv(monkeypatch):
+def test_training_agrees_with_the_reference_conv(monkeypatch):
+    """Three steps with the reference conv: the stride-1 x grads round
+    differently, so losses agree to 1e-12 relative and parameters closely;
+    bitwise repeatability of conv2d itself is pinned by test_train and
+    test_blas."""
     synth = SynthConfig(resolution=32, frames=4, axes=(6.0, 4.0), distractors=0)
     seqs = [dataclasses.replace(synth_generate(synth, s), name=f"seq{s}") for s in range(2)]
     cfg = RunConfig(steps=3)
     got = train(cfg, seqs)
     monkeypatch.setattr(backbone, "conv2d", reference_conv2d)
     want = train(cfg, seqs)
-    assert got.losses == want.losses
+    assert len(got.losses) == len(want.losses)
+    for a, b in zip(got.losses, want.losses):
+        assert abs(a - b) <= 1e-12 * abs(b)
     want_params = want.model.parameters()
     for name, p in got.model.parameters().items():
-        assert p.data.tobytes() == want_params[name].data.tobytes(), name
+        np.testing.assert_allclose(p.data, want_params[name].data, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
 
 
 class TestPool2d:
@@ -301,7 +324,7 @@ def op_cases(rng):
     up_wt = Tensor(rng.standard_normal((c, 2 * h, 2 * w)))
     tr_wt = Tensor(rng.standard_normal((h * w, c)))
 
-    return [
+    cases = [
         ("matmul", lambda t: tsum(matmul(t, mat)), rand(rng, 5, 4)),
         ("softmax_rows", lambda t: tsum(mul(softmax_rows(t), soft_wt)), rand(rng, 3, 6)),
         ("conv2d_input", lambda t: tsum(conv2d(t, conv_w, conv_b, stride=2, padding=1)),
@@ -327,6 +350,19 @@ def op_cases(rng):
         ("reshape_transpose", lambda t: tsum(mul(transpose(reshape(t, (c, h * w))), tr_wt)),
          rand(rng, c, h, w)),
     ]
+
+    def stride1_input_case(kh, kw, padding):
+        weight = Tensor(rng.standard_normal((2, c, kh, kw)) * 0.4)
+        out_wt = Tensor(rng.standard_normal((2, h + 2 * padding - kh + 1,
+                                             w + 2 * padding - kw + 1)))
+        return (f"conv2d_input_{kh}x{kw}_pad{padding}",
+                lambda t: tsum(mul(conv2d(t, weight, conv_b, padding=padding), out_wt)),
+                rand(rng, c, h, w))
+
+    # stride-1 input grads take the transposed-conv path; the 3x2 kernel
+    # pads the output gradient by k-1-p = 1 on one axis and 0 on the other
+    return cases + [stride1_input_case(kh, kw, p)
+                    for kh, kw, p in ((3, 3, 0), (3, 3, 1), (3, 3, 2), (3, 2, 1))]
 
 
 @pytest.mark.parametrize("seed", range(5))

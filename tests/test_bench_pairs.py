@@ -99,6 +99,27 @@ def test_a_backwards_seed_range_is_refused(text, tmp_path, capsys):
     assert json.loads(out.read_text())["workloads"]["eval64"]["pairs"] == 10
 
 
+def test_one_paired_value_is_recorded_without_a_gain():
+    pairs = pairs_of([10.0, 11.0], [12.0, 13.0])
+    pairs[1]["change"] = {"correct": False, "metrics": {}}
+    m = bench_pairs.summarize(pairs, SPECS)["metrics"]["throughput"]
+    assert m["parent"] == {"runs": [10.0]} and m["change"] == {"runs": [12.0]}
+    assert m["change_better_in_pairs"] == "1/1"
+    assert not m["gain_shown"]
+
+
+@pytest.mark.parametrize("text", ["101", "7-7"])
+def test_fewer_than_two_seeds_are_refused_before_any_run(text, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran a benchmark"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "train64", "--seeds", text, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least two seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def traced_result(correct=True, **values):
     return {"correct": correct,
             "metrics": {k.replace("_", "."): {"value": v, "unit": "ms"}
@@ -137,7 +158,7 @@ def test_traced_pairs_alternate_and_land_under_traced(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--workload", "long128",
-                             "--seeds", "1", "--trace-seed", "7-9", "--out", str(out)]) == 0
+                             "--seeds", "1-2", "--trace-seed", "7-9", "--out", str(out)]) == 0
     assert [c for c in calls if c[2] == 1] == [
         ("parent", 7, 1), ("change", 7, 1), ("change", 8, 1), ("parent", 8, 1),
         ("parent", 9, 1), ("change", 9, 1)]

@@ -75,7 +75,8 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
     `pairs` holds one ``{"parent": result, "change": result}`` per seed,
     each result a run's JSON line; `specs` are the ``end_to_end`` entries
     of BENCHMARK.json (name, unit, better, bound). A metric is summarized
-    over the pairs in which both runs report it.
+    over the pairs in which both runs report it; with fewer than two such
+    pairs it keeps only the runs, and shows no gain.
     """
     out = {"pairs": len(pairs),
            "runs_not_correct": sum(not p[s]["correct"] for p in pairs for s in SIDES),
@@ -90,19 +91,25 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
         parent, change = ([b[i] for b in both] for i in (0, 1))
         sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in both)
+        metric = out["metrics"][name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "change_better_in_pairs": f"{wins}/{len(both)}"}
+        if len(both) < 2:
+            # quartiles need two values, and one pair shows no gain
+            metric.update(parent={"runs": [round(v, 4) for v in parent]},
+                          change={"runs": [round(v, 4) for v in change]}, gain_shown=False)
+            continue
         p_sum, c_sum = _quartiles(parent), _quartiles(change)
         iqr = p_sum["q3"] - p_sum["q1"]
         gap = sign * (c_sum["median"] - p_sum["median"])
-        out["metrics"][name] = {
-            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+        metric.update({
             "parent": p_sum, "change": c_sum,
-            "change_better_in_pairs": f"{wins}/{len(both)}",
             "change_over_parent_median": round(c_sum["median"] / p_sum["median"], 4),
             "parent_iqr": round(iqr, 4),
             # the change wins 9 of 10 pairs and its median beats the
             # parent's by more than the parent's quartile spread
             "gain_shown": wins >= 0.9 * len(both) and gap > iqr,
-        }
+        })
     return out
 
 
@@ -166,6 +173,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=parse_seeds, default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        # the summary's quartiles need at least two pairs
+        parser.error(f"--seeds needs at least two seeds, got {len(args.seeds)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     specs, seconds = bench["end_to_end"], bench["run_seconds"]
