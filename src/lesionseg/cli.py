@@ -21,7 +21,7 @@ from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, dump_masks, evaluate
 from .propagation import propagate
 from .synth import SynthConfig, make_dataset
-from .train import LOSS_WINDOW, smoothed, train
+from .train import smoothed, train
 from .verify import CRITERIA, run_all
 
 
@@ -67,7 +67,11 @@ def cmd_train(args) -> int:
     cfg = _effective_config(args)
     root = _data_root(args, cfg, "the config file")
     sequences = load_dataset(root, split=args.split, total_stride=cfg.total_stride)
-    result = train(cfg, sequences, log=print)
+    def progress(result):
+        if result.steps % cfg.log_every == 0:
+            print(f"step {result.steps}/{cfg.steps}  loss {result.losses[-1]:.5f}  "
+                  f"smoothed {smoothed(result.losses):.5f}")
+    result = train(cfg, sequences, log=progress)
     out = _out_dir(args)
     save_config(cfg, out / "config.ini")
     save_checkpoint(out / "checkpoint", result.model, cfg,
@@ -75,7 +79,7 @@ def cmd_train(args) -> int:
     (out / "losses.txt").write_text(
         "".join(f"{v:.17g}\n" for v in result.losses))
     if result.losses:
-        final = smoothed(result.losses, LOSS_WINDOW)[-1]
+        final = smoothed(result.losses)
         print(f"done: {result.steps} steps, final smoothed loss {final:.5f}")
     print(f"checkpoint written to {out / 'checkpoint'}")
     return 0

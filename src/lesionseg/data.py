@@ -15,7 +15,6 @@ predictions can be cropped back to the original resolution.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,15 +170,9 @@ def load_dataset(root, split: str | None = None,
 
 
 def sample_clips(seq: VideoSequence, rng: np.random.Generator):
-    """Endless stream of random 3-frame training clips from one sequence."""
-    if seq.masks is None:
-        raise ValidationError(f"{seq.name}: clip sampling needs ground-truth masks")
-    n = len(seq)
-    if n < 3:
-        warnings.warn(f"sequence {seq.name} has {n} < 3 frames; skipped for training")
-        return
+    """Endless stream of random 3-frame clips from one trainable sequence."""
     while True:
-        start = int(rng.integers(0, n - 2))
+        start = int(rng.integers(0, len(seq) - 2))
         yield Clip(
             frames=tuple(seq.frames[start:start + 3]),
             masks=tuple(seq.masks[start:start + 3]),

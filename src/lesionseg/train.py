@@ -55,16 +55,9 @@ class TrainResult:
         return len(self.losses)
 
 
-def smoothed(losses: list[float], window: int) -> list[float]:
-    """Trailing-window means; entry i averages losses[max(0, i+1-w) : i+1]."""
-    out = []
-    acc = 0.0
-    for i, v in enumerate(losses):
-        acc += v
-        if i >= window:
-            acc -= losses[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
+def smoothed(losses: list[float]) -> float:
+    """Mean of the last LOSS_WINDOW losses (of all of them while fewer)."""
+    return float(np.mean(losses[-LOSS_WINDOW:]))
 
 
 def clip_loss(model: SegmentationModel, clip: Clip):
@@ -93,7 +86,7 @@ def _eligible(sequences: list[VideoSequence]) -> list[VideoSequence]:
 
 def train(config: RunConfig, sequences: list[VideoSequence],
           log=None) -> TrainResult:
-    """Run config.steps SGD updates over random clips from the sequences."""
+    """Run config.steps SGD updates, calling log (if given) with the TrainResult after each."""
     usable = _eligible(sequences)
     if not usable:
         raise ValidationError("no trainable sequence (need >= 3 frames with masks)")
@@ -122,8 +115,6 @@ def train(config: RunConfig, sequences: list[VideoSequence],
             tape.backward(loss)
         optimizer.apply(params)
         result.losses.append(value)
-        if log is not None and (step_idx + 1) % config.log_every == 0:
-            window = smoothed(result.losses, LOSS_WINDOW)[-1]
-            log(f"step {step_idx + 1}/{config.steps}  loss {value:.5f}  "
-                f"smoothed {window:.5f}")
+        if log is not None:
+            log(result)
     return result

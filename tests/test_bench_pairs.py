@@ -166,3 +166,27 @@ def test_traced_pairs_alternate_and_land_under_traced(tmp_path, monkeypatch):
     assert traced["seeds"] == [7, 8, 9]
     assert traced["per_unit"]["read.ms"]["change"] == {"median": 9.0,
                                                        "runs": [8.0, 9.0, 10.0]}
+
+
+@pytest.mark.parametrize("commits, warned", [
+    ({"parent": None, "change": "c" * 40}, ["parent"]),
+    ({"parent": "unknown", "change": None}, ["parent", "change"]),
+    ({"parent": "p" * 40, "change": "c" * 40}, []),
+])
+def test_a_side_without_a_recorded_commit_is_warned_about(commits, warned, tmp_path,
+                                                           monkeypatch, capsys):
+    for side, commit in commits.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"end_to_end": [], "run_seconds": 1}')
+        env = tmp_path / side / ".perfbench" / "train64" / "environment.json"
+        env.parent.mkdir(parents=True)
+        env.write_text(json.dumps({} if commit is None else {"git_commit": commit}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: result(throughput=1.0))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "train64",
+                             "--seeds", "1-2", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert [side for side in bench_pairs.SIDES if f"the {side} checkout" in err] == warned
+    assert json.loads(out.read_text())["parent_commit"] == (commits["parent"] or "unknown")

@@ -82,6 +82,24 @@ def test_train_writes_checkpoint_losses_and_config(pipeline):
     assert echoed.data_root == str(pipeline / "data")
 
 
+def test_train_prints_progress_every_log_every_steps(pipeline, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[train]\nlog_every = 5\n")
+    rc = main(["train", "--config", str(config), "--data", str(pipeline / "data"),
+               "--out", str(tmp_path / "run"), "--steps", "10", "--lr", "0.05",
+               "--seed", "0"])
+    assert rc == 0
+    # log_every shapes only the printout: the pipeline run saw the same losses
+    text = (tmp_path / "run" / "losses.txt").read_text()
+    assert text == (pipeline / "run" / "losses.txt").read_text()
+    losses = [float(v) for v in text.split()]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        f"step 5/10  loss {losses[4]:.5f}  smoothed {np.mean(losses[:5]):.5f}",
+        f"step 10/10  loss {losses[9]:.5f}  smoothed {np.mean(losses):.5f}",
+        f"done: 10 steps, final smoothed loss {np.mean(losses):.5f}"]
+
+
 def test_eval_uses_checkpoint_data_root(pipeline, capsys):
     out = pipeline / "eval"
     rc = main(["eval", "--checkpoint", str(pipeline / "run" / "checkpoint"),

@@ -143,17 +143,6 @@ def test_clip_sampling_bounds_and_determinism():
     assert isinstance(clip, Clip) and len(clip.frames) == 3 and clip.sequence == "s"
 
 
-def test_too_short_sequence_warns_and_yields_nothing():
-    seq = VideoSequence(name="tiny", frames=[Tensor(np.zeros((1, 8, 8)))] * 2,
-                        masks=[Tensor(np.zeros((1, 8, 8)))] * 2)
-    with pytest.warns(UserWarning, match="tiny"):
-        clips = list(sample_clips(seq, np.random.default_rng(0)))
-    assert clips == []
-    with pytest.raises(ValidationError):
-        next(sample_clips(VideoSequence(name="x", frames=seq.frames, masks=None),
-                          np.random.default_rng(0)))
-
-
 def test_video_sequence_validation():
     frames = [Tensor(np.zeros((1, 8, 8)))] * 2
     with pytest.raises(ValidationError):

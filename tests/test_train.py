@@ -13,7 +13,7 @@ from lesionseg.errors import TrainingDivergedError, ValidationError
 from lesionseg.evaluate import (ABLATION_ROWS, ablate, ablation_table,
                                 evaluate)
 from lesionseg.synth import SynthConfig, synth_generate
-from lesionseg.train import SGD, TrainResult, clip_loss, smoothed, train
+from lesionseg.train import LOSS_WINDOW, SGD, TrainResult, clip_loss, smoothed, train
 
 TINY = SynthConfig(resolution=16, frames=5, axes=(3.0, 2.0), max_speed=0.5,
                    distractors=0)
@@ -55,9 +55,8 @@ def test_sgd_skips_params_without_grad():
 
 
 def test_smoothed_is_a_trailing_mean():
-    assert smoothed([1.0, 2.0, 3.0, 4.0], window=2) == [1.0, 1.5, 2.5, 3.5]
-    assert smoothed([2.0, 4.0], window=10) == [2.0, 3.0]
-    assert smoothed([], window=3) == []
+    assert smoothed([100.0] + [1.0] * (LOSS_WINDOW - 1) + [3.0]) == 1.1
+    assert smoothed([2.0, 4.0]) == 3.0   # fewer than LOSS_WINDOW
 
 
 def test_train_result_counts_steps():
@@ -71,8 +70,7 @@ def test_train_result_counts_steps():
 def test_train_reduces_the_smoothed_loss():
     cfg = dataclasses.replace(SMALL, steps=40)
     result = train(cfg, tiny_sequences())
-    curve = smoothed(result.losses, 10)
-    assert curve[-1] < 0.6 * float(np.mean(result.losses[:10]))
+    assert smoothed(result.losses) < 0.6 * float(np.mean(result.losses[:10]))
 
 
 def test_train_is_bitwise_deterministic():
@@ -94,13 +92,22 @@ def test_clip_losses_are_positive_and_finite():
     assert all(np.isfinite(v) and v > 0 for v in result.losses)
 
 
-def test_log_callback_fires_on_schedule():
-    lines = []
-    cfg = dataclasses.replace(SMALL, steps=10, log_every=5)
-    train(cfg, tiny_sequences(), log=lines.append)
-    assert len(lines) == 2
-    assert lines[0].startswith("step 5/10")
-    assert "smoothed" in lines[1]
+def test_log_sees_at_step_k_the_model_a_k_step_run_ends_with():
+    cfg = dataclasses.replace(SMALL, steps=6, momentum=0.9)
+    seen = {}
+
+    def snapshot(result):
+        params = result.model.parameters()
+        seen[result.steps] = (list(result.losses),
+                              {n: p.data.tobytes() for n, p in params.items()})
+        evaluate(result.model, tiny_sequences(1))   # scoring in passing leaves the run as is
+
+    train(cfg, tiny_sequences(), log=snapshot)
+    assert sorted(seen) == list(range(1, cfg.steps + 1))   # one call per step
+    for k in (1, 4, cfg.steps):
+        short = train(dataclasses.replace(cfg, steps=k), tiny_sequences())
+        params = short.model.parameters()
+        assert seen[k] == (short.losses, {n: p.data.tobytes() for n, p in params.items()})
 
 
 def test_unusable_sequences_are_skipped_with_warnings():

@@ -185,6 +185,11 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     envs = {side: _environment(checkouts[side], args.workload) for side in SIDES}
+    for side in SIDES:
+        if envs[side].get("git_commit", "unknown") == "unknown":
+            print(f"warning: the {side} checkout {checkouts[side]} records no git commit "
+                  "(a copy without .git, such as a git archive); run from git clones "
+                  "to record it", file=sys.stderr)
     doc["parent_commit"] = envs["parent"].get("git_commit", "unknown")
     doc["src_sha256"] = {side: envs[side].get("src_sha256") for side in SIDES}
     doc["host"] = {k: envs["change"].get(k) for k in
