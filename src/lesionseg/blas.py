@@ -5,6 +5,8 @@ order of the sums: at 64x64 the decoder's 16x432 @ 432x1024 product
 differs in its last bits between one and two threads, and training
 drifts from there. Importing the package sets every OpenBLAS mapped
 into the process to one thread, whatever OPENBLAS_NUM_THREADS says.
+The bits still depend on the build and the kernels OpenBLAS picks for
+the CPU; `platform_key` names them.
 """
 
 from __future__ import annotations

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import sys
 from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, save_config
-from .data import load_dataset
+from .data import load_dataset, load_sequence, sequence_names
 from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, dump_masks, evaluate
 from .propagation import propagate
@@ -103,11 +102,9 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     root = _data_root(args, cfg, "the checkpoint config")
-    sequences = load_dataset(root, total_stride=cfg.total_stride)
-    matches = [s for s in sequences if s.name == args.sequence]
-    if not matches:
+    if args.sequence not in sequence_names(root):
         raise ValidationError(f"sequence {args.sequence!r} not found under {root}")
-    seq = matches[0]
+    seq = load_sequence(root, args.sequence, cfg.total_stride)
     if seq.masks is None:
         raise ValidationError(f"sequence {seq.name} has no first-frame annotation")
     preds = propagate(model, seq.frames, seq.masks[0], padding=seq.padding)
@@ -144,8 +141,7 @@ _SYNTH_FLAGS = (("--resolution", "resolution"), ("--frames", "frames"),
 def cmd_synth(args) -> int:
     synth_cfg = SynthConfig(**{dest: getattr(args, dest) for _, dest in _SYNTH_FLAGS})
     train_names, val_names = make_dataset(
-        args.out, args.count, synth_cfg, seed=args.seed,
-        val_count=args.val_count, ratio=args.ratio)
+        args.out, args.count, synth_cfg, seed=args.seed, val_count=args.val_count)
     print(f"wrote {args.count} sequences under {args.out} "
           f"({len(train_names)} train / {len(val_names)} val)")
     return 0
@@ -210,10 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, dest in _SYNTH_FLAGS:
         default = getattr(synth_defaults, dest)
         p.add_argument(flag, dest=dest, type=type(default), default=default)
-    p.add_argument("--ratio", type=float, help="train split fraction",
-                   default=inspect.signature(make_dataset).parameters["ratio"].default)
     p.add_argument("--val-count", dest="val_count", type=int, default=None,
-                   help="pin the validation set size exactly")
+                   help="validation set size (default: about a tenth)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

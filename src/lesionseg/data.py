@@ -113,9 +113,18 @@ def read_split(root: Path, split: str) -> list[str]:
     return names
 
 
-def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
-    frame_dir = root / "JPEGImages" / name
-    mask_dir = root / "Annotations" / name
+def sequence_names(root) -> list[str]:
+    """The sequence directories under root/JPEGImages, name-sorted."""
+    img_root = Path(root) / "JPEGImages"
+    if not img_root.is_dir():
+        raise FileNotFoundError(f"dataset root {root} has no JPEGImages directory")
+    return sorted(p.name for p in img_root.iterdir() if p.is_dir())
+
+
+def load_sequence(root, name: str, stride: int) -> VideoSequence:
+    """Load one sequence, its masks if it has any, padded to a stride multiple."""
+    frame_dir = Path(root) / "JPEGImages" / name
+    mask_dir = Path(root) / "Annotations" / name
     frame_paths = sorted(list(frame_dir.glob("*.pgm")) + list(frame_dir.glob("*.ppm")),
                          key=lambda p: p.name)
     if not frame_paths:
@@ -154,11 +163,7 @@ def _load_sequence(root: Path, name: str, stride: int) -> VideoSequence:
 def load_dataset(root, split: str | None = None,
                  total_stride: int = ModelConfig().total_stride) -> list[VideoSequence]:
     """Load every sequence under root (or just one split), name-sorted."""
-    root = Path(root)
-    img_root = root / "JPEGImages"
-    if not img_root.is_dir():
-        raise FileNotFoundError(f"dataset root {root} has no JPEGImages directory")
-    names = sorted(p.name for p in img_root.iterdir() if p.is_dir())
+    names = sequence_names(root)
     if split is not None:
         listed = read_split(root, split)
         missing = sorted(set(listed) - set(names))
@@ -166,7 +171,7 @@ def load_dataset(root, split: str | None = None,
             raise FileNotFoundError(
                 f"{split}.txt lists sequences with no frame directory: {missing[:5]}")
         names = sorted(listed)
-    return [_load_sequence(root, n, total_stride) for n in names]
+    return [load_sequence(root, n, total_stride) for n in names]
 
 
 def sample_clips(seq: VideoSequence, rng: np.random.Generator):
@@ -179,16 +184,6 @@ def sample_clips(seq: VideoSequence, rng: np.random.Generator):
             sequence=seq.name,
             start=start,
         )
-
-
-def split_names(names: list[str], ratio: float, seed: int) -> tuple[list[str], list[str]]:
-    """Seeded by-sequence shuffle into train/val name lists."""
-    if not 0.0 < ratio < 1.0:
-        raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
-    order = list(names)
-    np.random.default_rng(seed).shuffle(order)
-    cut = max(1, min(len(order) - 1, int(round(len(order) * ratio))))
-    return sorted(order[:cut]), sorted(order[cut:])
 
 
 def write_sequence(root, seq_name: str, frames: list[np.ndarray],

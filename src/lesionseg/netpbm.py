@@ -64,7 +64,10 @@ def read_netpbm(path: str | Path) -> np.ndarray:
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValidationError(f"{path}: truncated pixel data")
         payload = fh.read(size)
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:   # no 8-bit sample exceeds 255
+        raise ValidationError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    pixels = samples.astype(np.float64) / maxval
     if channels == 3:
         return pixels.reshape(height, width, 3)
     return pixels.reshape(height, width)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .autodiff import Tensor
-from .data import Padding, VideoSequence, split_names, write_sequence, write_split_files
+from .data import Padding, VideoSequence, write_sequence, write_split_files
 from .errors import GenerationError, ValidationError
 
 AXIS_JITTER = 0.2          # per-sequence relative spread of the lesion semi-axes
@@ -107,8 +107,8 @@ def _lesion_track(cfg: SynthConfig, rng: np.random.Generator) -> list[EllipseSpe
     return track
 
 
-def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[EllipseSpec]]:
-    """Generate one sequence plus the analytic per-frame lesion geometry."""
+def synth_generate(cfg: SynthConfig, seed) -> VideoSequence:
+    """Generate one synthetic sequence, fully determined by (cfg, seed)."""
     rng = np.random.default_rng(seed)
     res = cfg.resolution
     track = _lesion_track(cfg, rng)
@@ -137,31 +137,30 @@ def generate_with_track(cfg: SynthConfig, seed) -> tuple[VideoSequence, list[Ell
             img = img * rng.gamma(k, 1.0 / k, size=img.shape)
         frames.append(np.clip(img, 0.0, 1.0)[None, :, :])
         masks.append(region.astype(np.float64)[None, :, :])
-    seq = VideoSequence(
+    return VideoSequence(
         name="synthetic",
         frames=[Tensor(f) for f in frames],
         masks=[Tensor(m) for m in masks],
         padding=Padding(),
     )
-    return seq, track
-
-
-def synth_generate(cfg: SynthConfig, seed) -> VideoSequence:
-    """Generate one synthetic sequence, fully determined by (cfg, seed)."""
-    seq, _ = generate_with_track(cfg, seed)
-    return seq
 
 
 def make_dataset(root, count: int, cfg: SynthConfig, seed: int,
-                 val_count: int | None = None, ratio: float = 0.9) -> tuple[list[str], list[str]]:
+                 val_count: int | None = None) -> tuple[list[str], list[str]]:
     """Write `count` generated sequences as a directory tree with split files.
 
     Sequence i is seeded by (seed, i), so trees regenerate byte-identically.
-    Returns the (train, val) name lists. val_count pins the validation set
-    size exactly (0 puts every sequence in train); otherwise ratio applies.
+    Returns the (train, val) name lists: validation is the first val_count
+    names of one shuffle seeded by `seed`, and train the rest. val_count 0
+    puts every sequence in train; None holds out about a tenth, and at
+    least one sequence on each side when count > 1.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if val_count is None:
+        val_count = count - max(1, min(count - 1, round(0.9 * count)))
+    if not 0 <= val_count < count:
+        raise ValidationError(f"val_count must be in [0, {count})")
     root = Path(root)
     names = [f"synth{i:03d}" for i in range(count)]
     for i, name in enumerate(names):
@@ -169,14 +168,9 @@ def make_dataset(root, count: int, cfg: SynthConfig, seed: int,
         write_sequence(root, name,
                        [f.data for f in seq.frames],
                        [m.data for m in seq.masks])
-    if val_count is None:
-        train, val = split_names(names, ratio, seed)
-    else:
-        if not 0 <= val_count < count:
-            raise ValidationError(f"val_count must be in [0, {count})")
-        order = list(names)
-        np.random.default_rng(seed).shuffle(order)
-        val = sorted(order[:val_count])
-        train = sorted(set(names) - set(val))
+    order = list(names)
+    np.random.default_rng(seed).shuffle(order)
+    val = sorted(order[:val_count])
+    train = sorted(set(names) - set(val))
     write_split_files(root, train, val)
     return train, val

@@ -3,11 +3,9 @@ verify, flag precedence, and error exits."""
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import importlib.metadata
 import importlib.util
-import inspect
 import json
 import os
 import re
@@ -25,7 +23,7 @@ import lesionseg
 from lesionseg import cli
 from lesionseg.cli import _add_config_flags, _effective_config, build_parser, main
 from lesionseg.config import RunConfig, load_config
-from lesionseg.synth import SynthConfig, make_dataset
+from lesionseg.synth import SynthConfig
 
 RES = 48   # roomy enough for the default lesion geometry
 REPO = Path(__file__).resolve().parents[1]
@@ -228,15 +226,13 @@ def test_every_flag_the_readme_names_is_accepted():
 def test_synth_without_flags_builds_the_default_config(monkeypatch, tmp_path):
     calls = []
 
-    def record(root, count, cfg, seed, val_count, ratio):
-        calls.append((cfg, ratio))
+    def record(root, count, cfg, seed, val_count):
+        calls.append((count, cfg, seed, val_count))
         return [], []
 
-    # wraps keeps make_dataset's signature, where the parser reads --ratio's default
-    monkeypatch.setattr(cli, "make_dataset", functools.wraps(make_dataset)(record))
+    monkeypatch.setattr(cli, "make_dataset", record)
     assert main(["synth", "--out", str(tmp_path)]) == 0
-    ratio = inspect.signature(make_dataset).parameters["ratio"].default
-    assert calls == [(SynthConfig(), ratio)]
+    assert calls == [(10, SynthConfig(), 0, None)]
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):
@@ -422,6 +418,41 @@ def test_unknown_sequence_exits_2(pipeline, tmp_path, capsys):
                "--sequence", "synth999", "--out", str(tmp_path)])
     assert rc == 2
     assert "synth999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["../x", "."])
+def test_predict_of_a_name_that_is_no_sequence_directory_exits_2(pipeline, tmp_path, capsys,
+                                                                 name):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    # frames that JPEGImages/../x would reach if the name were not checked
+    shutil.copytree(data / "JPEGImages" / "synth002", data / "x")
+    rc = main(["predict", "--checkpoint", str(pipeline / "run" / "checkpoint"),
+               "--data", str(data), "--sequence", name, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"sequence {name!r} not found" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_on_a_root_without_jpegimages_exits_2(pipeline, tmp_path, capsys):
+    rc = main(["predict", "--checkpoint", str(pipeline / "run" / "checkpoint"),
+               "--data", str(tmp_path), "--sequence", "synth002", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"dataset root {tmp_path} has no JPEGImages directory" in capsys.readouterr().err
+
+
+def test_predict_reads_only_the_named_sequence(pipeline, tmp_path, monkeypatch):
+    read = []
+    for reader in ("read_netpbm", "read_mask"):
+        original = getattr(lesionseg.data, reader)
+        monkeypatch.setattr(lesionseg.data, reader, lambda path, original=original:
+                            read.append(path) or original(path))
+    assert main(["predict", "--checkpoint", str(pipeline / "run" / "checkpoint"),
+                 "--sequence", "synth002", "--out", str(tmp_path)]) == 0
+    frames = [f"JPEGImages/synth002/{i:05d}.pgm" for i in range(4)]
+    masks = [f"Annotations/synth002/{i:05d}.pgm" for i in range(4)]
+    relative = [Path(path).relative_to(pipeline / "data").as_posix() for path in read]
+    assert sorted(relative) == sorted(frames + masks)
 
 
 def test_unknown_ablation_row_exits_2(pipeline, tmp_path, capsys):

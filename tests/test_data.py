@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lesionseg.data import (Clip, Padding, VideoSequence, load_dataset, pad_to_multiple,
-                            read_split, sample_clips, split_names, unpad,
+                            read_split, sample_clips, unpad,
                             write_sequence, write_split_files)
 from lesionseg.errors import ValidationError
 from lesionseg.netpbm import write_pgm, write_ppm
@@ -150,17 +150,6 @@ def test_video_sequence_validation():
     with pytest.raises(ValidationError):
         VideoSequence(name="s", frames=[Tensor(np.zeros((1, 8, 8))),
                                         Tensor(np.zeros((1, 4, 4)))], masks=None)
-
-
-def test_split_names_deterministic_partition():
-    names = [f"s{i}" for i in range(10)]
-    train, val = split_names(names, 0.9, seed=0)
-    assert len(train) == 9 and len(val) == 1
-    assert sorted(train + val) == sorted(names)
-    assert (train, val) == split_names(names, 0.9, seed=0)
-    assert split_names(names, 0.9, seed=1) != (train, val)
-    with pytest.raises(ValidationError):
-        split_names(names, 1.0, seed=0)
 
 
 def test_loading_emits_no_warnings(tmp_path):

@@ -58,8 +58,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(tmp_path, data, flags) -> dict[str, str]:
-    run, ev = tmp_path / "run", tmp_path / "eval"
+def _digests(workdir, data, flags) -> dict[str, str]:
+    run, ev = workdir / "run", workdir / "eval"
     assert main(["train", "--data", str(data), "--out", str(run), *COMMON, *flags]) == 0
     assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--out", str(ev),
                  "--dump"]) == 0

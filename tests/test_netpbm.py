@@ -88,6 +88,17 @@ def test_zero_size_image_rejected_naming_the_file(tmp_path, size):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("magic, payload", [(b"P5", [200, 50]), (b"P6", [0] * 5 + [101])])
+def test_a_sample_above_maxval_is_refused_naming_the_file(tmp_path, magic, payload):
+    path = tmp_path / "over.pnm"
+    path.write_bytes(magic + b"\n2 1\n100\n" + bytes(payload))
+    with pytest.raises(ValidationError, match=f"sample {max(payload)} exceeds maxval 100") as exc:
+        read_netpbm(path)
+    assert str(path) in str(exc.value)
+    path.write_bytes(magic + b"\n2 1\n100\n" + bytes(min(v, 100) for v in payload))
+    assert read_netpbm(path).max() == 1.0
+
+
 def test_truncated_file(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lesionseg.autodiff import Tensor, sigmoid
 from lesionseg.data import Padding, pad_to_multiple
@@ -149,6 +150,29 @@ def test_propagate_unpads_to_original_resolution():
     preds = propagate(model, [Tensor(f) for f in padded], Tensor(mask), padding=pad)
     assert all(p.shape == (1, 14, 15) for p in preds)
     assert isinstance(pad, Padding)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(side=st.tuples(st.integers(5, 23), st.integers(5, 23)).filter(
+           lambda hw: hw[0] % 4 and hw[1] % 4),
+       frames=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       toggles=st.sampled_from([{}, dict(use_sfm=False), dict(use_msff=False)]))
+def test_predictions_are_finite_probabilities_at_the_unpadded_shape(side, frames, seed,
+                                                                    toggles):
+    model = small_model(**toggles)
+    stride = model.config.total_stride
+    assert stride == 4
+    rng = np.random.default_rng(seed)
+    # padded as load_dataset pads: frames repeat their edge, masks add background
+    raw = [rng.random((1, *side)) for _ in range(frames)]
+    padded, pads = zip(*(pad_to_multiple(f, stride, "edge") for f in raw))
+    mask, _ = pad_to_multiple((rng.random((1, *side)) < 0.3).astype(np.float64), stride,
+                              "constant")
+    preds = propagate(model, [Tensor(f) for f in padded], Tensor(mask), padding=pads[0])
+    assert len(preds) == frames - 1
+    for pred in preds:
+        assert pred.shape == (1, *side)
+        assert np.isfinite(pred).all() and pred.min() >= 0.0 and pred.max() <= 1.0
 
 
 def test_ablated_models_still_propagate():

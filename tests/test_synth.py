@@ -8,7 +8,7 @@ from scipy.ndimage import label as cc_label
 
 from lesionseg.data import load_dataset
 from lesionseg.errors import GenerationError, ValidationError
-from lesionseg.synth import (BACKGROUND, LESION_INTENSITY, SynthConfig, generate_with_track,
+from lesionseg.synth import (BACKGROUND, LESION_INTENSITY, SynthConfig, _lesion_track,
                              make_dataset, synth_generate)
 
 CLEAN = SynthConfig(blur_sigma=0.0, speckle=0.0, deformation=0.0, distractors=0)
@@ -60,7 +60,9 @@ def test_lesion_darker_than_background():
 def test_mask_area_tracks_analytic_ellipse():
     cfg = SynthConfig(resolution=128, axes=(20.0, 14.0), distractors=0)
     for seed in (0, 1, 2):
-        seq, track = generate_with_track(cfg, seed)
+        seq = synth_generate(cfg, seed)
+        # the track is the first draw from the generator's stream
+        track = _lesion_track(cfg, np.random.default_rng(seed))
         for mask, spec in zip(seq.masks, track):
             area = np.pi * spec.a * spec.b
             assert abs(mask.data.sum() - area) / area < 0.02
@@ -117,8 +119,19 @@ def test_make_dataset_pinned_val_count(tmp_path):
     train, val = make_dataset(tmp_path / "x", 12, SynthConfig(frames=3), seed=2,
                               val_count=2)
     assert len(train) == 10 and len(val) == 2
+    assert sorted(train + val) == [f"synth{i:03d}" for i in range(12)]
+    other_seed = make_dataset(tmp_path / "w", 12, SynthConfig(frames=3), seed=3, val_count=2)
+    assert other_seed != (train, val)
     train0, val0 = make_dataset(tmp_path / "y", 4, SynthConfig(frames=3), seed=2,
                                 val_count=0)
     assert len(train0) == 4 and val0 == []
     with pytest.raises(ValidationError):
         make_dataset(tmp_path / "z", 3, SynthConfig(frames=3), seed=2, val_count=3)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 10, 15, 16, 25])
+def test_default_split_holds_out_what_a_ninety_percent_train_ratio_did(tmp_path, count):
+    cfg = SynthConfig(resolution=16, frames=1, axes=(3.0, 2.0))
+    train, val = make_dataset(tmp_path, count, cfg, seed=0)
+    assert len(train) == max(1, min(count - 1, int(round(count * 0.9))))
+    assert sorted(train + val) == [f"synth{i:03d}" for i in range(count)]
