@@ -22,6 +22,8 @@ COMMON = ["--steps", "10", "--lr", "0.05", "--seed", "0"]
 CONFIGS = {
     "default": [],
     "no-sfm-no-msff": ["--no-sfm", "--no-msff"],
+    "no-msff": ["--no-msff"],     # the +sfm row: ConcatReduce merges the branches
+    "no-sfm": ["--no-sfm"],       # the +msff row
     "momentum-0.9": ["--momentum", "0.9"],
     "tap-3-capacity-2": ["--encoder-tap", "3", "--memory-capacity", "2"],
 }
@@ -40,6 +42,16 @@ GOLDEN = {
             "losses.txt": "5d49a6d1ed76deb3c46632c0a31c15e173f5a0d4e0987a2f0791d93b062530ba",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "f59dd42447bdc3643c2b445834c57010ea254456d83528ba9d7b7bfd355b9702"},
+        "no-msff": {
+            "details.tsv": "5796727be0304338c60712875e71d147c9c7c5c85d4b163dee1e3713ecb6aa30",
+            "losses.txt": "abd33b6bdfdc154f9321f1504a4b53ce608e2c7e37b0f1e3dba46126ba1fe59a",
+            "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
+            "params.bin": "ac5ab7ed22c306097c1b723c1979a23288580d40a909ab4dffa89c9a80f536ee"},
+        "no-sfm": {
+            "details.tsv": "d745af65e9594c0b7c7e7ad09b57598441a80ff5cb51d93d7a1b091912609f8c",
+            "losses.txt": "ca17f1da4573acf4f1e6fbd6a11eb097c698d67528b8ff7909bf77a888fb9ede",
+            "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
+            "params.bin": "93589ae9ee9482c9ce933087359f0f58d8c750f05c49bf49a079e2cb1e72c48a"},
         "no-sfm-no-msff": {
             "details.tsv": "f8f06fe3c4d8710c092faea2a63a450368ff539566daf3b154ebaf1e82037512",
             "losses.txt": "94eaeeab00b9f273fa86e14ad7c7eeaee21321f413f90ad22afe82cae47249cc",
