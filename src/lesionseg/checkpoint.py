@@ -14,11 +14,10 @@ model that has just been saved is bitwise identical to its reload and
 evaluation metrics survive the round trip unchanged. The four files are
 written into a sibling ``.<name>.partial`` directory that then replaces
 the checkpoint, so a failed save leaves the previous one. Loading checks the
-blob against its recorded sha256, so a flipped bit is refused; a
-checkpoint written before the hash was recorded loads unchecked. Text
-that is not UTF-8, a malformed manifest line and a ``state.txt`` that is
-not a JSON object with an integer step are refused as well; every
-refusal is a ``ValidationError`` naming the file.
+blob against its recorded sha256, so a flipped bit is refused. Text that
+is not UTF-8, a malformed manifest line and a ``state.txt`` that is not a
+JSON object with an integer step and a string sha256 are refused as
+well; every refusal is a ``ValidationError`` naming the file.
 """
 
 from __future__ import annotations
@@ -100,8 +99,10 @@ def _parse_state(path: Path) -> dict:
         state = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(state, dict) or type(state.get("step")) is not int:
-        raise ValidationError(f"{path} must hold a JSON object with an integer step")
+    if (not isinstance(state, dict) or type(state.get("step")) is not int
+            or not isinstance(state.get("params_sha256"), str)):
+        raise ValidationError(
+            f"{path} must hold a JSON object with an integer step and a string params_sha256")
     return state
 
 
@@ -135,8 +136,7 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
         raise ValidationError(
             f"checkpoint blob has {len(blob) - end} bytes after its last tensor")
     state = _parse_state(path / STATE)
-    recorded = state.get("params_sha256")
-    if recorded is not None and hashlib.sha256(blob).hexdigest() != recorded:
+    if hashlib.sha256(blob).hexdigest() != state["params_sha256"]:
         raise ValidationError(f"checkpoint {BLOB} does not match the sha256 in {STATE}")
     model.load_parameter_data(arrays)
     return model, run_config, state["step"], state.get("rng")

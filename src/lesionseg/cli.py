@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, save_config
-from .data import load_dataset, load_sequence, sequence_names
+from .data import _read_sequence, load_dataset, sequence_names
 from .errors import GenerationError, TrainingDivergedError, ValidationError
 from .evaluate import ABLATION_ROWS, ablate, ablation_table, dump_masks, evaluate
 from .propagation import propagate
@@ -104,13 +104,14 @@ def cmd_predict(args) -> int:
     root = _data_root(args, cfg, "the checkpoint config")
     if args.sequence not in sequence_names(root):
         raise ValidationError(f"sequence {args.sequence!r} not found under {root}")
-    seq = load_sequence(root, args.sequence, cfg.total_stride)
-    if seq.masks is None:
-        raise ValidationError(f"sequence {seq.name} has no first-frame annotation")
-    preds = propagate(model, seq.frames, seq.masks[0], padding=seq.padding)
+    frames, masks, padding = _read_sequence(root, args.sequence, cfg.total_stride,
+                                            every_mask=False)
+    if masks is None:
+        raise ValidationError(f"sequence {args.sequence} has no first-frame annotation")
+    preds = propagate(model, frames, masks[0], padding=padding)
     out = _out_dir(args)
     save_config(cfg, out / "config.ini")
-    mask_dir = out / seq.name
+    mask_dir = out / args.sequence
     dump_masks(mask_dir, preds)
     print(f"wrote {len(preds)} masks to {mask_dir}")
     return 0

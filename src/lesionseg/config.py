@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .fusion import FC_REDUCTION
 from .model import ModelConfig
 
 
@@ -58,26 +57,6 @@ class RunConfig(ModelConfig):
 _SECTION = {f.name: f.metadata.get("section", "model") for f in dataclasses.fields(RunConfig)}
 _SECTIONS = ("data", "model", "train", "run")   # the order config_to_text writes
 
-# keys written by earlier versions: accepted only in their old section and
-# with the value this version always has, then dropped. That value is a
-# constant, a function of the config, or None when any value is accepted.
-_RETIRED = {
-    "split_ratio": ("data", None),
-    "split_seed": ("data", None),
-    "total_stride": ("model", ModelConfig.total_stride.fget),
-    "feature_channels": ("model", ModelConfig.feature_channels.fget),
-    "similarity": ("model", "standard"),
-    "key_scaling": ("model", True),
-    "key_from_gated": ("model", False),
-    "use_current_value": ("model", False),
-    "hard_prior": ("model", False),
-    "pooling": ("model", "both"),
-    "prior_mask_mapping": ("model", True),
-    "fc_reduction": ("model", FC_REDUCTION),
-    "teacher_forcing": ("train", False),
-    "loss_window": ("train", None),   # only smoothed the training log
-}
-
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -98,7 +77,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 _SPECIAL_PARSERS = {bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
 _PARSERS = {name: _SPECIAL_PARSERS.get(hint, hint)
             for name, hint in typing.get_type_hints(RunConfig).items()}
-_KNOWN_SECTION = _SECTION | {key: section for key, (section, _) in _RETIRED.items()}
 
 
 def _render_value(value) -> str:
@@ -125,19 +103,15 @@ def config_to_text(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _coerce(key: str, parse, raw):
-    try:
-        return parse(raw) if isinstance(raw, str) else raw
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from exc
-
-
 def _coerce_items(items) -> dict:
     values = {}
     for key, raw in items:
         if key not in _PARSERS:
             raise ValidationError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, _PARSERS[key], raw)
+        try:
+            values[key] = _PARSERS[key](raw) if isinstance(raw, str) else raw
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
     return values
 
 
@@ -149,28 +123,15 @@ def config_from_text(text: str, source: str = "<string>") -> RunConfig:
     except configparser.Error as exc:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ValidationError(f"malformed config text: {message}") from exc
-    items, retired = [], {}
+    items = []
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if _KNOWN_SECTION.get(key) != section:
+            if _SECTION.get(key) != section:
                 raise ValidationError(f"key {key!r} does not belong in section [{section}]")
-            if key in _RETIRED:
-                retired[key] = raw
-            else:
-                items.append((key, raw))
-    cfg = RunConfig(**_coerce_items(items))
-    for key, raw in retired.items():
-        kept = _RETIRED[key][1]
-        if callable(kept):
-            kept = kept(cfg)
-        if kept is not None and _coerce(key, _SPECIAL_PARSERS.get(type(kept), type(kept)),
-                                        raw) != kept:
-            raise ValidationError(
-                f"config key {key!r} is retired and may only hold "
-                f"{_render_value(kept)}, got {raw}")
-    return cfg
+            items.append((key, raw))
+    return RunConfig(**_coerce_items(items))
 
 
 def read_text(path) -> str:

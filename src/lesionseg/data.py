@@ -123,18 +123,35 @@ def sequence_names(root) -> list[str]:
 
 def load_sequence(root, name: str, stride: int) -> VideoSequence:
     """Load one sequence, its masks if it has any, padded to a stride multiple."""
+    frames, masks, pad = _read_sequence(root, name, stride, every_mask=True)
+    return VideoSequence(name=name, frames=frames, masks=masks, padding=pad)
+
+
+def _read_sequence(root, name: str, stride: int, every_mask: bool):
+    """(frames, masks, padding) of one sequence, padded to a stride multiple.
+
+    Masks are None without an annotation directory. Without `every_mask`
+    only the first frame's annotation is read, which is all propagation
+    needs.
+    """
     frame_dir = Path(root) / "JPEGImages" / name
     mask_dir = Path(root) / "Annotations" / name
     frame_paths = sorted(list(frame_dir.glob("*.pgm")) + list(frame_dir.glob("*.ppm")),
                          key=lambda p: p.name)
     if not frame_paths:
         raise FileNotFoundError(f"no .pgm/.ppm frames under {frame_dir}")
+    by_stem: dict[str, Path] = {}
+    for fp in frame_paths:   # both would pair with one annotation
+        twin = by_stem.setdefault(fp.stem, fp)
+        if twin is not fp:
+            raise ValidationError(
+                f"{frame_dir}: frames {twin.name} and {fp.name} share the stem {fp.stem!r}")
     has_masks = mask_dir.is_dir()
     frames: list[np.ndarray] = []
     masks: list[np.ndarray] = []
-    for fp in frame_paths:
+    for i, fp in enumerate(frame_paths):
         frames.append(_to_gray(read_netpbm(fp)))
-        if has_masks:
+        if has_masks and (every_mask or i == 0):
             mp = mask_dir / (fp.stem + ".pgm")
             if not mp.is_file():
                 raise FileNotFoundError(
@@ -150,14 +167,8 @@ def load_sequence(root, name: str, stride: int) -> VideoSequence:
             raise ValidationError(
                 f"{name}: mask for {frame_paths[i].name} is {arr.shape[1:]}, frames are {base[1:]}")
     padded_frames, pad = zip(*(pad_to_multiple(f, stride, "edge") for f in frames))
-    pad = pad[0]
-    padded_masks = [pad_to_multiple(m, stride, "constant")[0] for m in masks]
-    return VideoSequence(
-        name=name,
-        frames=[Tensor(f) for f in padded_frames],
-        masks=[Tensor(m) for m in padded_masks] if has_masks else None,
-        padding=pad,
-    )
+    padded_masks = [Tensor(pad_to_multiple(m, stride, "constant")[0]) for m in masks]
+    return ([Tensor(f) for f in padded_frames], padded_masks if has_masks else None, pad[0])
 
 
 def load_dataset(root, split: str | None = None,

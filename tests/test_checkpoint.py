@@ -177,24 +177,22 @@ def test_flipped_blob_bit_fails_the_hash(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
-def test_checkpoint_of_an_earlier_version_loads(tmp_path):
-    # no params_sha256 in state.txt, and the five retired [model] keys at
-    # the values this version always has
-    model = small_model(seed=2)
-    save_checkpoint(tmp_path / "ck", model, SMALL, step=4)
+def test_state_without_a_string_sha256_is_refused(tmp_path):
+    save_checkpoint(tmp_path / "ck", small_model(seed=2), SMALL, step=4)
     state_path = tmp_path / "ck" / STATE
     state = json.loads(state_path.read_text())
     del state["params_sha256"]
-    state_path.write_text(json.dumps(state, indent=1) + "\n")
-    config_path = tmp_path / "ck" / CONFIG
-    config_path.write_text(config_path.read_text().replace(
-        "memory_capacity", "similarity = standard\nkey_scaling = true\n"
-        "key_from_gated = false\nuse_current_value = false\nhard_prior = false\n"
-        "memory_capacity"))
-    loaded, cfg, step, _ = load_checkpoint(tmp_path / "ck")
-    assert (cfg, step) == (SMALL, 4)
-    for name, p in model.parameters().items():
-        assert (loaded.parameters()[name].data == p.data).all(), name
+    for recorded in (0, ["00"], None):   # None: no hash line at all
+        stored = state if recorded is None else {**state, "params_sha256": recorded}
+        state_path.write_text(json.dumps(stored, indent=1) + "\n")
+        with pytest.raises(ValidationError, match=f"{STATE} must hold .* params_sha256"):
+            load_checkpoint(tmp_path / "ck")
+    # with the hash line deleted, a flipped blob bit is still refused
+    blob = bytearray((tmp_path / "ck" / BLOB).read_bytes())
+    blob[0] ^= 0x01
+    (tmp_path / "ck" / BLOB).write_bytes(bytes(blob))
+    with pytest.raises(ValidationError, match=STATE):
+        load_checkpoint(tmp_path / "ck")
 
 
 def test_malformed_manifest_raises(tmp_path):

@@ -409,7 +409,8 @@ def test_eval_of_a_checkpoint_with_a_retired_switch_set_exits_2(pipeline, tmp_pa
     config.write_text(config.read_text().replace(f"{section}\n", f"{section}\n{line}\n"))
     rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert f"config key {line.split(' = ')[0]!r} is retired" in capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert f"key {key!r} does not belong in section {section}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.tsv").exists()
 
 
@@ -450,9 +451,33 @@ def test_predict_reads_only_the_named_sequence(pipeline, tmp_path, monkeypatch):
     assert main(["predict", "--checkpoint", str(pipeline / "run" / "checkpoint"),
                  "--sequence", "synth002", "--out", str(tmp_path)]) == 0
     frames = [f"JPEGImages/synth002/{i:05d}.pgm" for i in range(4)]
-    masks = [f"Annotations/synth002/{i:05d}.pgm" for i in range(4)]
     relative = [Path(path).relative_to(pipeline / "data").as_posix() for path in read]
-    assert sorted(relative) == sorted(frames + masks)
+    assert sorted(relative) == sorted(frames + ["Annotations/synth002/00000.pgm"])
+
+
+def test_predict_needs_only_the_first_frame_annotation(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    (val,) = (data / "ImageSets" / "val.txt").read_text().split()
+    later = sorted((data / "Annotations" / val).iterdir())[1:]
+    for mask in later:
+        mask.unlink()
+    ckpt = str(pipeline / "run" / "checkpoint")
+    for root, out in ((pipeline / "data", "full"), (data, "first")):
+        assert main(["predict", "--checkpoint", ckpt, "--data", str(root),
+                     "--sequence", val, "--out", str(tmp_path / out)]) == 0
+    full = sorted((tmp_path / "full" / val).iterdir())
+    first = sorted((tmp_path / "first" / val).iterdir())
+    assert [p.name for p in first] == [p.name for p in full] == [m.name for m in later]
+    for a, b in zip(full, first):
+        assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    # training and evaluation still need every annotation
+    for argv in (["train", "--data", str(data), "--split", "val", "--steps", "1"],
+                 ["eval", "--checkpoint", ckpt, "--data", str(data)]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"missing annotation {later[0]} for listed frame" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_ablation_row_exits_2(pipeline, tmp_path, capsys):

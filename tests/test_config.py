@@ -43,8 +43,6 @@ def test_parses_booleans_and_tuples():
     text = """
 [model]
 stage_channels = 4, 8
-total_stride = 4
-feature_channels = 8
 use_sfm = off
 use_msff = YES
 """
@@ -131,9 +129,7 @@ def test_frozen():
 
 # -- one schema ----------------------------------------------------------
 
-# config_to_text(RunConfig()) as written before split_ratio, split_seed,
-# total_stride, feature_channels, loss_window and the nine switches in
-# RETIRED_SWITCHES were retired, minus those fourteen lines
+# config_to_text(RunConfig()): the eleven keys this version writes and reads
 DEFAULT_TEXT = """\
 [data]
 data_root = 
@@ -156,8 +152,9 @@ seed = 0
 
 """
 
-# a config.ini in the earlier 25-key format: every key that is still a
-# setting off its default, the retired switches at the values kept
+# a config.ini in the 25-key format earlier versions wrote: every key that
+# is still a setting off its default, and the fourteen former keys in
+# FORMER_KEYS at the values those versions wrote
 LEGACY_TEXT = """\
 [data]
 data_root = /data/busv
@@ -199,24 +196,26 @@ LEGACY_CONFIG = RunConfig(
     encoder_tap=3, memory_capacity=6, learning_rate=0.05, momentum=0.9, steps=500,
     log_every=10, seed=7)
 
-# retired switches with their section, the one value each still accepts
-# and a refused one
-RETIRED_SWITCHES = {"similarity": ("model", "standard", "paper-literal"),
-                    "key_scaling": ("model", "true", "false"),
-                    "key_from_gated": ("model", "false", "true"),
-                    "use_current_value": ("model", "false", "true"),
-                    "hard_prior": ("model", "false", "true"),
-                    "pooling": ("model", "both", "max"),
-                    "prior_mask_mapping": ("model", "true", "false"),
-                    "fc_reduction": ("model", "4", "2"),
-                    "teacher_forcing": ("train", "false", "true")}
-RETIRED = ("split_ratio", "split_seed", "total_stride", "feature_channels",
-           "loss_window", *RETIRED_SWITCHES)
+# the keys earlier versions wrote and this one refuses, each with its old
+# section and the value those versions wrote (as in LEGACY_TEXT)
+FORMER_KEYS = {"split_ratio": ("data", "0.8"), "split_seed": ("data", "5"),
+               "total_stride": ("model", "4"), "feature_channels": ("model", "16"),
+               "similarity": ("model", "standard"), "key_scaling": ("model", "true"),
+               "key_from_gated": ("model", "false"),
+               "use_current_value": ("model", "false"), "hard_prior": ("model", "false"),
+               "pooling": ("model", "both"), "prior_mask_mapping": ("model", "true"),
+               "fc_reduction": ("model", "4"), "teacher_forcing": ("train", "false"),
+               "loss_window": ("train", "5")}
+# the former switches, each at a value other than the one earlier versions wrote
+OTHER_VALUES = {"similarity": "paper-literal", "key_scaling": "false",
+                "key_from_gated": "true", "use_current_value": "true",
+                "hard_prior": "true", "pooling": "max", "prior_mask_mapping": "false",
+                "fc_reduction": "2", "teacher_forcing": "true"}
 
 
 def test_schema_field_counts_and_derived_stride_and_width():
     assert len(dataclasses.fields(RunConfig)) == 11
-    assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
+    assert not set(FORMER_KEYS) & {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig(stage_channels=(8, 16))
     assert (cfg.total_stride, cfg.feature_channels) == (4, 16)
     # the 5 [model] keys are ModelConfig's fields, declared there only
@@ -227,12 +226,26 @@ def test_default_text_is_pinned():
     assert config_to_text(RunConfig()) == DEFAULT_TEXT
 
 
-def test_legacy_25_key_text_loads_to_the_same_values():
+def test_legacy_25_key_text_is_refused():
     assert len([line for line in LEGACY_TEXT.splitlines() if " = " in line]) == 25
-    cfg = config_from_text(LEGACY_TEXT)
-    assert cfg == LEGACY_CONFIG
-    echoed = config_to_text(cfg)
-    assert not any(line.split(" = ")[0] in RETIRED for line in echoed.splitlines())
+    with pytest.raises(ValidationError, match="does not belong"):
+        config_from_text(LEGACY_TEXT)
+
+
+def test_legacy_text_without_its_former_keys_loads_to_the_same_values():
+    kept = [line for line in LEGACY_TEXT.splitlines()
+            if line.split(" = ")[0] not in FORMER_KEYS]
+    assert len(kept) == len(LEGACY_TEXT.splitlines()) - len(FORMER_KEYS)
+    assert config_from_text("\n".join(kept)) == LEGACY_CONFIG
+
+
+@pytest.mark.parametrize("key", FORMER_KEYS)
+def test_former_key_at_its_old_value_is_refused_naming_it(key):
+    section, value = FORMER_KEYS[key]
+    assert f"{key} = {value}\n" in LEGACY_TEXT
+    with pytest.raises(ValidationError, match=f"key '{key}' does not belong in section "
+                                              f"\\[{section}\\]"):
+        config_from_text(f"[{section}]\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("key,section", [
@@ -244,19 +257,12 @@ def test_retired_keys_only_in_their_old_section(key, section):
 
 
 @pytest.mark.parametrize("key,value", [
-    (key, value) for key, (_, _, refused) in RETIRED_SWITCHES.items()
-    for value in (refused, "maybe")] + [("similarity", "Standard"), ("pooling", "Both")])
+    (key, value) for key, other in OTHER_VALUES.items()
+    for value in (other, "maybe")] + [("similarity", "Standard"), ("pooling", "Both")])
 def test_retired_switch_at_another_value_is_refused(key, value):
-    section, kept, _ = RETIRED_SWITCHES[key]
-    assert config_from_text(f"[{section}]\n{key} = {kept}\n") == RunConfig()
+    section, _ = FORMER_KEYS[key]
     with pytest.raises(ValidationError, match=key):
         config_from_text(f"[{section}]\n{key} = {value}\n")
-
-
-@pytest.mark.parametrize("value", ["20", "5", "0", "ten"])
-def test_retired_loss_window_takes_any_value(value):
-    # it only smoothed the training log, so no value is refused
-    assert config_from_text(f"[train]\nloss_window = {value}\n") == RunConfig()
 
 
 @pytest.mark.parametrize("line", ["total_stride = 8", "feature_channels = 64",

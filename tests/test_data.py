@@ -63,6 +63,13 @@ def test_missing_annotation_is_descriptive(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_a_frame_stored_twice_is_refused_naming_both(tmp_path):
+    make_tree(tmp_path, {"seq": 4})
+    write_ppm(tmp_path / "JPEGImages" / "seq" / "00001.ppm", np.zeros((16, 16, 3)))
+    with pytest.raises(ValidationError, match="00001.pgm and 00001.ppm share the stem"):
+        load_dataset(tmp_path)
+
+
 def test_mixed_resolution_rejected(tmp_path):
     make_tree(tmp_path, {"seq": 2})
     write_pgm(tmp_path / "JPEGImages" / "seq" / "00001.pgm", np.zeros((8, 8)))
