@@ -149,10 +149,10 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def backward(self, root: Tensor, seed: np.ndarray | None = None) -> None:
+    def backward(self, root: Tensor) -> None:
         if not root.requires_grad:
             raise ValueError("backward() root does not require grad (was it computed on this tape?)")
-        root.grad = np.ones_like(root.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node.output.grad is not None:
                 node.backward(node.output.grad)

@@ -17,7 +17,9 @@ the checkpoint, so a failed save leaves the previous one. Loading checks the
 blob against its recorded sha256, so a flipped bit is refused. Text that
 is not UTF-8, a malformed manifest line and a ``state.txt`` that is not a
 JSON object with an integer step and a string sha256 are refused as
-well; every refusal is a ``ValidationError`` naming the file.
+well; every refusal is a ``ValidationError`` naming the file, or the
+checkpoint directory when no one file is at fault (a parameter name
+that does not fit the stored config, for one).
 """
 
 from __future__ import annotations
@@ -119,24 +121,27 @@ def load_checkpoint(path) -> tuple[SegmentationModel, RunConfig, int, dict | Non
     run_config = load_config(path / CONFIG)
     model = SegmentationModel(run_config, seed=run_config.seed)
     blob = (path / BLOB).read_bytes()
-    arrays = {}
-    end = 0   # the tensors must tile the blob: no gap, overlap or trailing bytes
-    for name, shape, offset in _parse_manifest(path / MANIFEST):
-        if offset != end:
-            raise ValidationError(
-                f"checkpoint manifest puts tensor {name} at byte {offset}, expected {end}")
-        end = offset + 4 * (int(np.prod(shape)) if shape else 1)
-        if end > len(blob):
-            raise ValidationError(f"checkpoint blob truncated for tensor {name}")
-        flat = np.frombuffer(blob[offset:end], dtype="<f4")
-        if not np.isfinite(flat).all():
-            raise ValidationError(f"checkpoint parameter {name} holds non-finite values")
-        arrays[name] = flat.astype(np.float64).reshape(shape)
-    if end != len(blob):
-        raise ValidationError(
-            f"checkpoint blob has {len(blob) - end} bytes after its last tensor")
+    entries = _parse_manifest(path / MANIFEST)
     state = _parse_state(path / STATE)
-    if hashlib.sha256(blob).hexdigest() != state["params_sha256"]:
-        raise ValidationError(f"checkpoint {BLOB} does not match the sha256 in {STATE}")
-    model.load_parameter_data(arrays)
+    try:   # the files above name themselves; these errors name the checkpoint
+        arrays = {}
+        end = 0   # the tensors must tile the blob: no gap, overlap or trailing bytes
+        for name, shape, offset in entries:
+            if offset != end:
+                raise ValidationError(f"manifest puts tensor {name} at byte {offset}, "
+                                      f"expected {end}")
+            end = offset + 4 * (int(np.prod(shape)) if shape else 1)
+            if end > len(blob):
+                raise ValidationError(f"blob truncated for tensor {name}")
+            flat = np.frombuffer(blob[offset:end], dtype="<f4")
+            if not np.isfinite(flat).all():
+                raise ValidationError(f"parameter {name} holds non-finite values")
+            arrays[name] = flat.astype(np.float64).reshape(shape)
+        if end != len(blob):
+            raise ValidationError(f"blob has {len(blob) - end} bytes after its last tensor")
+        if hashlib.sha256(blob).hexdigest() != state["params_sha256"]:
+            raise ValidationError(f"{BLOB} does not match the sha256 in {STATE}")
+        model.load_parameter_data(arrays)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from exc
     return model, run_config, state["step"], state.get("rng")

@@ -116,22 +116,25 @@ def _coerce_items(items) -> dict:
 
 
 def config_from_text(text: str, source: str = "<string>") -> RunConfig:
-    """Parse config text; `source` names it in error messages."""
+    """Parse config text; every error message starts with `source`."""
     parser = _ini()
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ValidationError(f"malformed config text: {message}") from exc
-    items = []
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValidationError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if _SECTION.get(key) != section:
-                raise ValidationError(f"key {key!r} does not belong in section [{section}]")
-            items.append((key, raw))
-    return RunConfig(**_coerce_items(items))
+    try:
+        items = []
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ValidationError(f"unknown config section [{section}]")
+            for key, raw in parser[section].items():
+                if _SECTION.get(key) != section:
+                    raise ValidationError(f"key {key!r} does not belong in section [{section}]")
+                items.append((key, raw))
+        return RunConfig(**_coerce_items(items))
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
 
 
 def read_text(path) -> str:

@@ -52,16 +52,21 @@ def weighted_sum(features: list[Tensor], weights: list[Tensor]) -> Tensor:
 
 
 class WeightedFusion:
-    """The fusion block: three branch heads plus the coarse-lift projection."""
+    """The fusion block: one head per branch plus the coarse-lift projection.
 
-    def __init__(self, init: Initializer, value_channels: int, coarse_channels: int):
+    Without the spatial branch (`use_sfm` false) the block has no spatial
+    head, and `fuse` is passed no spatial feature.
+    """
+
+    def __init__(self, init: Initializer, value_channels: int, coarse_channels: int,
+                 use_sfm: bool = True):
         self.lift = Conv(init, coarse_channels, value_channels, 1)
         self.head_temporal = FcHead(init, value_channels)
-        self.head_spatial = FcHead(init, value_channels)
+        self.head_spatial = FcHead(init, value_channels) if use_sfm else None
         self.head_coarse = FcHead(init, value_channels)
 
     def fuse(self, temporal: Tensor, spatial: Tensor | None, coarse: Tensor) -> Tensor:
-        """Weighted sum of the available branches at (C/2, h, w)."""
+        """Weighted sum of the temporal, spatial (if built) and coarse branches at (C/2, h, w)."""
         for name, feat in (("spatial", spatial), ("coarse", coarse)):
             if feat is not None and feat.shape[1:] != temporal.shape[1:]:
                 raise ShapeError(

@@ -5,8 +5,10 @@ The config sets the stage widths, the coarse tap and the memory size,
 and which branches exist. The temporal branch is always on. The spatial
 branch and the weighted fusion are toggleable; with the weighting off
 the branches merge by concat + 1x1 conv, and with the spatial branch
-also off the temporal read feeds the decoder directly. Construction
-order fixes parameter order, so (config, seed) fixes the initial weights.
+also off the temporal read feeds the decoder directly. A branch that is
+off builds no parameter: without the spatial branch the fusion block has
+no spatial head. Construction order fixes parameter order, so (config,
+seed) fixes the initial weights.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class ModelConfig:
     def __post_init__(self):
         if not self.stage_channels:
             raise ValidationError("stage_channels must name at least one stage")
+        if min(self.stage_channels) < 1:
+            raise ValidationError(f"every stage width must be >= 1, got {self.stage_channels}")
         if self.feature_channels % 8 != 0:
             raise ValidationError(
                 f"the last stage width {self.feature_channels} must be divisible by 8")
@@ -88,7 +92,8 @@ class SegmentationModel:
             tap_stride = cfg.total_stride // (2 ** (idx + 1))
             self.tap_proj = Conv(init, cfg.stage_channels[idx], cfg.key_channels, 1,
                                  stride=tap_stride)
-            self.fusion = WeightedFusion(init, cfg.value_channels, cfg.key_channels)
+            self.fusion = WeightedFusion(init, cfg.value_channels, cfg.key_channels,
+                                         use_sfm=cfg.use_sfm)
         elif cfg.use_sfm:
             self.reduce = ConcatReduce(init, cfg.value_channels)
 

@@ -4,13 +4,16 @@ read, and the coarse encoder tap.
 
 The same step function serves training and inference. The previous soft
 mask gates the current frame for the spatial read, whose key comes from
-the previous frame's ungated encode. State updates use the model's own
-soft prediction, so a later frame's loss reaches earlier predictions.
+the previous frame's ungated encode; without the spatial branch no key
+is kept and the first frame gets no ungated encode. State updates use
+the model's own soft prediction, so a later frame's loss reaches earlier
+predictions.
 The decoder takes the fused feature with the current frame's skips.
 
 `PropagationState` is everything one step hands the next: the memory bank
 (``memory_capacity`` passes straight through, 0 meaning unlimited), the
-previous frame's mask and ungated key, and the frame count.
+previous frame's mask and ungated key (None without the spatial branch),
+and the frame count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class PropagationState:
 
     memory: MemoryBank
     prev_mask: Tensor   # (1, H, W) probability map: the next frame's prior
-    prev_key: Tensor    # (C/8, h, w), from the ungated encode of the previous frame
+    prev_key: Tensor | None   # (C/8, h, w) ungated key of the previous frame; None without SFM
     frame_index: int    # frames consumed so far
 
 
@@ -48,8 +51,8 @@ def init(model: SegmentationModel, frame: Tensor, gt_mask: Tensor) -> Propagatio
     seeded = model.encoder.encode(frame, mask=gt_mask)
     memory = MemoryBank(capacity=model.config.memory_capacity)
     memory.append(seeded.key, seeded.value)
-    raw = model.encoder.encode(frame)
-    return PropagationState(memory=memory, prev_mask=gt_mask, prev_key=raw.key,
+    prev_key = model.encoder.encode(frame).key if model.config.use_sfm else None
+    return PropagationState(memory=memory, prev_mask=gt_mask, prev_key=prev_key,
                             frame_index=1)
 
 
@@ -73,7 +76,8 @@ def step(model: SegmentationModel, state: PropagationState,
 
     remembered = model.encoder.encode(frame, mask=pred)
     state.memory.append(remembered.key, remembered.value)
-    return PropagationState(memory=state.memory, prev_mask=pred, prev_key=current.key,
+    prev_key = current.key if model.config.use_sfm else None
+    return PropagationState(memory=state.memory, prev_mask=pred, prev_key=prev_key,
                             frame_index=state.frame_index + 1), pred
 
 

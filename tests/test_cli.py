@@ -338,6 +338,42 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_a_stage_width_below_one_in_a_config_file_exits_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nstage_channels = 16, 0, 8\n")
+    rc = main(["train", "--config", str(ini), "--data", str(tmp_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {ini}: every stage width must be >= 1, got (16, 0, 8)\n")
+
+
+def test_eval_of_a_checkpoint_with_a_former_key_names_its_config(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    config = ckpt / "config.ini"
+    config.write_text(config.read_text().replace("[train]\n", "[train]\nloss_window = 20\n"))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: key 'loss_window' does not belong in section [train]\n")
+
+
+def test_eval_of_a_checkpoint_whose_names_do_not_fit_names_it(pipeline, tmp_path, capsys):
+    # the full row's tensors under a +msff config: a +msff checkpoint written
+    # while that row still built the spatial head looks the same
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(pipeline / "run" / "checkpoint", ckpt)
+    config = ckpt / "config.ini"
+    config.write_text(config.read_text().replace("use_sfm = true", "use_sfm = false"))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: parameter name mismatch; missing [], "
+                          "unexpected ['fusion.head_spatial."), err
+    assert not (tmp_path / "out" / "metrics.tsv").exists()
+
+
 def test_eval_of_a_nan_checkpoint_exits_2(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "checkpoint"
     shutil.copytree(pipeline / "run" / "checkpoint", ckpt)

@@ -89,6 +89,8 @@ def test_bad_value_types_rejected():
     dict(stage_channels=()),
     dict(encoder_tap=1),
     dict(stage_channels=(16, 32), encoder_tap=2),  # tap 2 needs >= 3 stages
+    dict(stage_channels=(16, 0, 8)),   # a stage width below 1
+    dict(stage_channels=(16, -8)),
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises((ValidationError, ValueError)):

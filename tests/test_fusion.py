@@ -94,7 +94,8 @@ def test_fuse_matches_elementwise_oracle():
 
 def test_fuse_without_spatial_branch():
     rng = np.random.default_rng(10)
-    wf = WeightedFusion(Initializer(11), value_channels=4, coarse_channels=2)
+    wf = WeightedFusion(Initializer(11), value_channels=4, coarse_channels=2, use_sfm=False)
+    assert wf.head_spatial is None
     y = rng.standard_normal((4, 3, 3))
     w = rng.standard_normal((2, 3, 3))
     x = wf.fuse(Tensor(y), None, Tensor(w))

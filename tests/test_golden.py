@@ -3,9 +3,10 @@
 Other determinism tests compare one run with another run of the same code;
 this one compares a run with the bytes earlier code wrote. The bits depend
 on the BLAS kernels, so the table is keyed by `blas.platform_key()`. Under
-an unknown key the test skips and prints the entry to add. A change that
-moves the bits on purpose pastes the entry the failure prints in place of
-the old one.
+an unknown key the test skips and prints the entry to add. On a mismatch
+the failure names each config and file whose digest moved, then prints
+the new entry; a change that moves the bits on purpose pastes it in place
+of the old one.
 """
 
 import hashlib
@@ -48,10 +49,10 @@ GOLDEN = {
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "ac5ab7ed22c306097c1b723c1979a23288580d40a909ab4dffa89c9a80f536ee"},
         "no-sfm": {
-            "details.tsv": "d745af65e9594c0b7c7e7ad09b57598441a80ff5cb51d93d7a1b091912609f8c",
-            "losses.txt": "ca17f1da4573acf4f1e6fbd6a11eb097c698d67528b8ff7909bf77a888fb9ede",
+            "details.tsv": "a8e50f0a0843f0137fd9ebe85050d7ce98dafe0218640b9301cecdda675eded2",
+            "losses.txt": "36409c7bef277656106c67863ed47f6fb3aa93064e6f2ffe1ac78b236e048a7e",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
-            "params.bin": "93589ae9ee9482c9ce933087359f0f58d8c750f05c49bf49a079e2cb1e72c48a"},
+            "params.bin": "d7e0ff3b85dc3755e7894eb18caadf24790f951cba7a747a9f9b6d354e23a16e"},
         "no-sfm-no-msff": {
             "details.tsv": "f8f06fe3c4d8710c092faea2a63a450368ff539566daf3b154ebaf1e82037512",
             "losses.txt": "94eaeeab00b9f273fa86e14ad7c7eeaee21321f413f90ad22afe82cae47249cc",
@@ -86,6 +87,24 @@ def _digests(workdir, data, flags) -> dict[str, str]:
             "masks": masks.hexdigest()}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """'config: file, ...' for each config whose digests differ between the tables."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        files = [f for f in sorted(was.keys() | now.keys()) if was.get(f) != now.get(f)]
+        if files:
+            lines.append(f"{name}: {', '.join(files)}")
+    return lines
+
+
+def test_moved_names_each_config_and_file_that_differs():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "gone": {"x": "1"}}
+    new = {"a": {"x": "1", "y": "3"}, "b": {"x": "1"}, "added": {"x": "1"}}
+    assert moved(old, new) == ["a: y", "added: x", "gone: x"]
+    assert moved(old, old) == []
+
+
 def test_train_and_eval_compute_the_golden_bits(tmp_path, capsys):
     data = tmp_path / "data"
     make_dataset(data, 3, TREE, seed=0, val_count=1)
@@ -96,4 +115,5 @@ def test_train_and_eval_compute_the_golden_bits(tmp_path, capsys):
     if key not in GOLDEN:
         pytest.skip(f"no golden digests for this platform; add to GOLDEN:\n{paste}")
     if GOLDEN[key] != entry:
-        pytest.fail(f"the bits moved; if on purpose, replace the GOLDEN entry with:\n{paste}")
+        pytest.fail("the bits moved in\n  " + "\n  ".join(moved(GOLDEN[key], entry))
+                    + f"\nif on purpose, replace the GOLDEN entry with:\n{paste}")

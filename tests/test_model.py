@@ -56,6 +56,12 @@ def test_default_parameter_count():
     assert len(params) == 44
 
 
+def test_msff_row_has_no_spatial_head():
+    model = SegmentationModel(ModelConfig(use_sfm=False), seed=0)
+    assert model.fusion.head_spatial is None
+    assert sum(p.size for p in model.parameters().values()) == 151673 - 808
+
+
 # Checkpoint tensor names, blob order and shapes of the default widths.
 # Every row shares the encoder and decoder; the rows differ in what follows.
 SHARED_PARAMETERS = [
@@ -75,23 +81,28 @@ SHARED_PARAMETERS = [
     ("decoder.head.weight", (1, 16, 1, 1)), ("decoder.head.bias", (1,)),
 ]
 CONCAT_PARAMETERS = [("reduce.reduce.weight", (32, 64, 1, 1)), ("reduce.reduce.bias", (32,))]
-FUSION_PARAMETERS = [
+# the fusion block of the +msff row; with the spatial branch it also has
+# SPATIAL_HEAD, built between the temporal and the coarse head
+MSFF_PARAMETERS = [
     ("tap_proj.weight", (8, 64, 1, 1)), ("tap_proj.bias", (8,)),
     ("fusion.lift.weight", (32, 8, 1, 1)), ("fusion.lift.bias", (32,)),
     ("fusion.head_temporal.w1", (8, 64)), ("fusion.head_temporal.b1", (8,)),
     ("fusion.head_temporal.w2", (32, 8)), ("fusion.head_temporal.b2", (32,)),
-    ("fusion.head_spatial.w1", (8, 64)), ("fusion.head_spatial.b1", (8,)),
-    ("fusion.head_spatial.w2", (32, 8)), ("fusion.head_spatial.b2", (32,)),
     ("fusion.head_coarse.w1", (8, 64)), ("fusion.head_coarse.b1", (8,)),
     ("fusion.head_coarse.w2", (32, 8)), ("fusion.head_coarse.b2", (32,)),
 ]
+SPATIAL_HEAD = [
+    ("fusion.head_spatial.w1", (8, 64)), ("fusion.head_spatial.b1", (8,)),
+    ("fusion.head_spatial.w2", (32, 8)), ("fusion.head_spatial.b2", (32,)),
+]
+FUSION_PARAMETERS = MSFF_PARAMETERS[:8] + SPATIAL_HEAD + MSFF_PARAMETERS[8:]
 
 
 @pytest.mark.parametrize("toggles, expected", [
     ({}, SHARED_PARAMETERS + FUSION_PARAMETERS),                     # default
     ({"use_sfm": False, "use_msff": False}, SHARED_PARAMETERS),      # baseline
     ({"use_sfm": True, "use_msff": False}, SHARED_PARAMETERS + CONCAT_PARAMETERS),   # +sfm
-    ({"use_sfm": False, "use_msff": True}, SHARED_PARAMETERS + FUSION_PARAMETERS),   # +msff
+    ({"use_sfm": False, "use_msff": True}, SHARED_PARAMETERS + MSFF_PARAMETERS),     # +msff
     ({"use_sfm": True, "use_msff": True}, SHARED_PARAMETERS + FUSION_PARAMETERS),    # full
 ], ids=["default", "baseline", "+sfm", "+msff", "full"])
 def test_parameter_names_order_and_shapes(toggles, expected):

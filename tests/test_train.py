@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from lesionseg.autodiff import Tensor
+from lesionseg.autodiff import Tape, Tensor
+from lesionseg.backbone import Encoder
 from lesionseg.config import RunConfig
 from lesionseg.data import Clip
 from lesionseg.errors import TrainingDivergedError, ValidationError
 from lesionseg.evaluate import (ABLATION_ROWS, ablate, ablation_table,
                                 evaluate)
+from lesionseg.model import ModelConfig, SegmentationModel
 from lesionseg.synth import SynthConfig, synth_generate
 from lesionseg.train import LOSS_WINDOW, SGD, TrainResult, clip_loss, smoothed, train
 
@@ -23,6 +25,12 @@ SMALL = RunConfig(stage_channels=(4, 8), steps=10, learning_rate=0.05)
 def tiny_sequences(n=2):
     return [dataclasses.replace(synth_generate(TINY, s), name=f"seq{s}")
             for s in range(n)]
+
+
+def tiny_clip():
+    seq = tiny_sequences(1)[0]
+    return Clip(frames=tuple(seq.frames[:3]), masks=tuple(seq.masks[:3]),
+                sequence=seq.name, start=0)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -137,15 +145,46 @@ def test_absurd_learning_rate_diverges_with_context():
 
 def test_clip_loss_returns_two_probability_maps():
     model = train(dataclasses.replace(SMALL, steps=0), tiny_sequences()).model
-    seq = tiny_sequences(1)[0]
-    clip = Clip(frames=tuple(seq.frames[:3]), masks=tuple(seq.masks[:3]),
-                sequence=seq.name, start=0)
-    loss, preds = clip_loss(model, clip)
+    loss, preds = clip_loss(model, tiny_clip())
     assert loss.item() > 0
     assert len(preds) == 2
     for p in preds:
         assert p.shape == (1, 16, 16)
         assert ((p.data > 0) & (p.data < 1)).all()
+
+
+# every ablation row, and the full model at the coarse taps a 3-stage encoder allows
+ROWS = {"full": {}, "+sfm": {"use_msff": False}, "+msff": {"use_sfm": False},
+        "baseline": {"use_sfm": False, "use_msff": False},
+        "tap-2": {"encoder_tap": 2}, "tap-3": {"encoder_tap": 3}}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_one_clip_backward_reaches_every_parameter(row):
+    model = SegmentationModel(ModelConfig(stage_channels=(4, 8, 8), **ROWS[row]), seed=0)
+    with Tape() as tape:
+        loss, _ = clip_loss(model, tiny_clip())
+        tape.backward(loss)
+    assert [name for name, p in model.parameters().items() if p.grad is None] == []
+
+
+@pytest.mark.parametrize("row, encodes", [("full", 8), ("+sfm", 8), ("+msff", 5),
+                                          ("baseline", 5)])
+def test_encoder_passes_per_clip(row, encodes, monkeypatch):
+    calls = []
+    encode = Encoder.encode
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "encode", counted)
+    model = SegmentationModel(ModelConfig(stage_channels=SMALL.stage_channels,
+                                          **ROWS[row]), seed=0)
+    clip_loss(model, tiny_clip())
+    # init: the seeded encode, plus the ungated one the spatial read keys on;
+    # each of two steps: the current frame, its gated copy with SFM, the memory entry
+    assert len(calls) == encodes
 
 
 # -- evaluation ---------------------------------------------------------------
