@@ -17,8 +17,14 @@ Conventions:
   accumulates the results in the order the pairs are listed.  No
   operation tests ``requires_grad`` itself.
 
-Convolution uses cross-correlation semantics (no kernel flip).  Max-pool
-gradient ties are broken toward the first maximum in row-major order.
+Convolution uses cross-correlation semantics (no kernel flip).  A stride-1
+conv with padding below the kernel size (every stride-1 conv in the model)
+sums one GEMM per kernel tap over its input, padded once and read in place
+at the padded row length; no column matrix is built.  Its output and
+gradients agree with an im2col conv to within 1e-12 of their largest
+entry, not bitwise, since the taps are summed in another order.  Other
+convs (stride 2) keep im2col.  Max-pool gradient ties are broken toward
+the first maximum in row-major order.
 """
 
 from __future__ import annotations
@@ -347,16 +353,59 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int,
                       strides=(sc, sh, sw, sh * stride, sw * stride))
 
 
+def _padded_rows(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(C, (H+2ph+1) * (W+2pw)) copy of the (C, H, W) map `a`, zero-padded
+    by ph rows and pw columns on each side, plus one spare zero row at the
+    bottom, each channel flattened."""
+    c, h, w = a.shape
+    buf = np.zeros((c, h + 2 * ph + 1, w + 2 * pw))
+    buf[:, ph:ph + h, pw:pw + w] = a
+    return buf.reshape(c, -1)
+
+
+def _tap_sum(taps: np.ndarray, rows: np.ndarray, width: int, n: int) -> np.ndarray:
+    """Sum over kernel taps (i, j) of ``taps[i, j] @ rows[:, i*width + j:][:, :n]``.
+
+    `rows` is a map flattened at row length `width` by `_padded_rows`, so
+    tap (i, j)'s slice holds the map shifted by i rows and j columns:
+    column ``y*width + x`` of the sum is the correlation at (y, x), and
+    the columns with x past the valid width are garbage to crop.  Each
+    slice is a strided view that BLAS reads in place.
+    """
+    kh, kw = taps.shape[:2]
+    out = taps[0, 0] @ rows[:, :n]
+    term = np.empty_like(out)
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                off = i * width + j
+                np.matmul(taps[i, j], rows[:, off:off + n], out=term)
+                out += term
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
     """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels.
 
-    Lowered to im2col + one GEMM: the columns are a copy of one strided
-    window view over the zero-padded input.  For stride 1 and padding at
-    most k-1 on each axis, the input gradient is the transposed
-    convolution: the output gradient, zero-padded by k-1-padding per
-    axis, cross-correlated with the flipped kernels, as one im2col and
-    one GEMM.  Otherwise it is scattered back one kernel offset at a time.
+    A stride-1 conv with padding below the kernel size on each axis
+    (every 3x3 conv with padding 1, and the 1x1 heads) takes one GEMM per
+    kernel tap (accumulating kn2row, Anderson et al., arXiv 1709.03395):
+    the input is zero-padded once at row length W+2p, and the output is
+    the sum over taps of the tap's (C_out, C_in) kernel slice times the
+    padded input shifted by the tap, computed at the padded width and
+    cropped.  The weight gradient is one GEMM per tap against the same
+    shifted slices, and the input gradient is the transposed convolution,
+    the same sum with the flipped taps over the output gradient padded by
+    k-1-padding.  No column matrix is built, and the tape keeps only the
+    padded input.  The sums run in another order than one GEMM over
+    im2col columns, so they agree with it to rounding, not bitwise.
+
+    Every other conv (stride 2 in the model) is lowered to im2col + one
+    GEMM: the columns are a copy of one strided window view over the
+    zero-padded input, and the input gradient is scattered back one
+    kernel offset at a time.  Shifted slices would have to be strided
+    along the row too, which BLAS cannot read in place.
     """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {weight.shape}")
@@ -374,6 +423,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})")
     hout = (hp - kh) // stride + 1
     wout = (wp - kw) // stride + 1
+    bias_grad = (bias, lambda g: g.reshape(cout, -1).sum(axis=1))
+
+    if stride == 1 and padding < min(kh, kw):
+        taps = weight.data.transpose(2, 3, 0, 1).copy()   # (kh, kw, C_out, C_in)
+        rows = _padded_rows(x.data, padding, padding)
+        n = hout * wp
+        out = _tap_sum(taps, rows, wp, n).reshape(cout, hout, wp)[:, :, :wout] \
+            + bias.data[:, None, None]
+
+        def dweight(g: np.ndarray) -> np.ndarray:
+            gw = np.zeros((cout, hout, wp))   # zero-widened to the padded row length
+            gw[:, :, :wout] = g
+            gw = gw.reshape(cout, n)
+            dtaps = np.empty_like(taps)
+            for i in range(kh):
+                for j in range(kw):
+                    off = i * wp + j
+                    np.matmul(gw, rows[:, off:off + n].T, out=dtaps[i, j])
+            return dtaps.transpose(2, 3, 0, 1)
+
+        def dx_taps(g: np.ndarray) -> np.ndarray:
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            width = w + kw - 1
+            flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)   # (kh, kw, C_in, C_out)
+            dx = _tap_sum(flipped, _padded_rows(g, ph, pw), width, h * width)
+            return dx.reshape(cin, h, width)[:, :, :w]
+
+        return _record(out, bias_grad, (weight, dweight), (x, dx_taps))
 
     if padding:
         xp = np.zeros((cin, hp, wp))
@@ -388,18 +465,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out = wmat @ cols
     out += bias.data[:, None]
 
-    def dx_transposed(g: np.ndarray) -> np.ndarray:
-        ph, pw = kh - 1 - padding, kw - 1 - padding
-        if ph or pw:
-            gp = np.zeros((cout, hout + 2 * ph, wout + 2 * pw))
-            gp[:, ph:ph + hout, pw:pw + wout] = g
-        else:
-            gp = np.ascontiguousarray(g)
-        gcols = np.ascontiguousarray(
-            _windows(gp, kh, kw, 1, h, w).reshape(cout * kh * kw, h * w))
-        wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        return (wflip @ gcols).reshape(cin, h, w)
-
     def dx_scatter(g: np.ndarray) -> np.ndarray:
         dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, kh, kw, hout, wout)
         dxp = np.zeros((cin, hp, wp))
@@ -409,10 +474,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 windows[:, i, j] += dcols[:, i, j]
         return dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
 
-    return _record(out.reshape(cout, hout, wout),
-                   (bias, lambda g: g.reshape(cout, -1).sum(axis=1)),
+    return _record(out.reshape(cout, hout, wout), bias_grad,
                    (weight, lambda g: (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)),
-                   (x, dx_transposed if stride == 1 and padding < min(kh, kw) else dx_scatter))
+                   (x, dx_scatter))
 
 
 def pool2d(x: Tensor, mode: str) -> Tensor:

@@ -1,6 +1,7 @@
 import math
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,8 +174,8 @@ def conv_and_grads(conv, x, w, b, stride, padding, upstream):
     return out.data, xt.grad, wt.grad, bt.grad
 
 
-def transposed_path(stride, padding, kh, kw):
-    """Whether conv2d computes the x grad as a transposed conv, not a scatter."""
+def tap_path(stride, padding, kh, kw):
+    """Whether conv2d sums one GEMM per kernel tap instead of using im2col."""
     return stride == 1 and padding <= min(kh, kw) - 1
 
 
@@ -188,15 +189,18 @@ def transposed_path(stride, padding, kh, kw):
 @example(c=2, h=10, w=7, cout=3, kh=3, kw=3, stride=2, padding=1, transposed=False, seed=0)
 @example(c=3, h=9, w=11, cout=2, kh=2, kw=2, stride=3, padding=0, transposed=True, seed=1)
 @example(c=1, h=1, w=1, cout=1, kh=5, kw=5, stride=3, padding=2, transposed=True, seed=2)
-# stride 1: padded by k-1-p = 1 on one axis and 0 on the other; then a
-# padding past kw-1, which keeps the scatter
+# stride 1: the x grad pads by k-1-p = 1 on one axis and 0 on the other;
+# then a padding past kw-1, which keeps im2col; then a 1x1 head
 @example(c=2, h=6, w=5, cout=3, kh=3, kw=2, stride=1, padding=1, transposed=True, seed=3)
 @example(c=2, h=6, w=5, cout=3, kh=3, kw=1, stride=1, padding=1, transposed=False, seed=4)
+@example(c=3, h=5, w=7, cout=2, kh=1, kw=1, stride=1, padding=0, transposed=True, seed=5)
 def test_conv2d_agrees_with_the_reference(c, h, w, cout, kh, kw, stride, padding,
                                           transposed, seed):
-    """Output, weight and bias grads, and scatter-path x grads are bitwise
-    those of the reference; a transposed-conv x grad sums in another order
-    and agrees to 1e-12 of the largest gradient entry."""
+    """The bias grad, and everything off the tap path, is bitwise that of
+    the reference. The tap path sums its output, weight grad and x grad
+    in another order, and they agree to 1e-12 of their largest entry;
+    a 1x1 conv without padding is one GEMM of the same operands, so its
+    output and weight grad are bitwise the reference's too."""
     assume(kh <= h + 2 * padding and kw <= w + 2 * padding)
     rng = np.random.default_rng(seed)
     # a transposed view is a (C, H, W) map that is not C-contiguous
@@ -208,12 +212,19 @@ def test_conv2d_agrees_with_the_reference(c, h, w, cout, kh, kw, stride, padding
                                     (w + 2 * padding - kw) // stride + 1))
     got = conv_and_grads(conv2d, x, weight, bias, stride, padding, upstream)
     want = conv_and_grads(reference_conv2d, x, weight, bias, stride, padding, upstream)
-    for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), got, want):
+    names = ("output", "x grad", "weight grad", "bias grad")
+    if not tap_path(stride, padding, kh, kw):
+        bitwise = names
+    elif kh == kw == 1 and padding == 0:
+        bitwise = ("output", "weight grad", "bias grad")
+    else:
+        bitwise = ("bias grad",)
+    for name, a, b in zip(names, got, want):
         assert a.shape == b.shape, name
-        if name == "x grad" and transposed_path(stride, padding, kh, kw):
-            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
-        else:
+        if name in bitwise:
             assert a.tobytes() == b.tobytes(), name
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
 
 
 def test_training_agrees_with_the_reference_conv(monkeypatch):
@@ -415,19 +426,48 @@ def test_a_constant_operand_gets_no_grad(name):
 
 
 @pytest.mark.parametrize("x_requires_grad", [False, True])
-def test_a_constant_conv_input_costs_no_dx_work(monkeypatch, x_requires_grad):
+@pytest.mark.parametrize("stride, dx_work", [(1, "_tap_sum"), (2, "_windows")],
+                         ids=["stride1", "stride2"])
+def test_a_constant_conv_input_costs_no_dx_work(monkeypatch, stride, dx_work, x_requires_grad):
+    """In the backward pass, only the x grad calls `dx_work`: the tap sum
+    at stride 1, the scatter's window view at stride 2."""
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=x_requires_grad)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     with Tape() as tape:
-        out = tsum(conv2d(x, w, b, padding=1))
-    windows = []
-    monkeypatch.setattr(autodiff, "_windows",
-                        lambda *args, inner=autodiff._windows: windows.append(args) or inner(*args))
+        out = tsum(conv2d(x, w, b, stride=stride, padding=1))
+    calls = []
+    monkeypatch.setattr(autodiff, dx_work,
+                        lambda *args, inner=getattr(autodiff, dx_work):
+                        calls.append(args) or inner(*args))
     tape.backward(out)
-    assert bool(windows) == x_requires_grad
+    assert bool(calls) == x_requires_grad
     assert (x.grad is not None) == x_requires_grad and w.grad is not None and b.grad is not None
+
+
+def test_a_stride1_conv_holds_no_column_matrix():
+    """A 3x3 stride-1 conv pads its input once and copies it into no
+    column matrix: untaped, its peak stays under 4x the input's bytes;
+    taped, it keeps under 2.5x the input's bytes once its forward is done
+    (an im2col conv peaked at 11x and kept 10x)."""
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((16, 256, 256)), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(16), requires_grad=True)
+    tracemalloc.start()
+    try:
+        conv2d(x, w, b, padding=1)
+        untaped_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = conv2d(x, w, b, padding=1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1 and out.requires_grad
+    assert untaped_peak < 4 * x.data.nbytes
+    assert kept < 2.5 * x.data.nbytes
 
 
 def test_tape_replays_each_node_once():

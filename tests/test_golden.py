@@ -34,33 +34,33 @@ GOLDEN = {
      "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
      "SkylakeX"): {
         "default": {
-            "details.tsv": "375e7fd316b23a0f5dce7390882a84c98d53a1c2e38a7c05f823cbcf8fd3f7e9",
-            "losses.txt": "4ec97ca6305bacab729b8875ed7b57f1810907a8f1a0bac7c6ffc3629115fbc1",
+            "details.tsv": "a5cf4bddf60ff0e999aaf0cfcb4c415c3bb31f5d9ad149fca0519c72b7036c9d",
+            "losses.txt": "9edb6bb9de2769335435f651c849c24f537f205667040a414405ca1697dc75e0",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "d88ea512e09a89aec613457024efd04fac6977f7b5aaf868b402772301fc8bb3"},
         "momentum-0.9": {
             "details.tsv": "0e42f970ffb6e758a18862e3d77f59a325c538c5365c29dc7f123c103f456971",
-            "losses.txt": "5d49a6d1ed76deb3c46632c0a31c15e173f5a0d4e0987a2f0791d93b062530ba",
+            "losses.txt": "60ec41e02c5ee1ba33babc9e3b856cbc7ec9ee5b5f3f9e7a8e632540a6310a35",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "f59dd42447bdc3643c2b445834c57010ea254456d83528ba9d7b7bfd355b9702"},
         "no-msff": {
             "details.tsv": "5796727be0304338c60712875e71d147c9c7c5c85d4b163dee1e3713ecb6aa30",
-            "losses.txt": "abd33b6bdfdc154f9321f1504a4b53ce608e2c7e37b0f1e3dba46126ba1fe59a",
+            "losses.txt": "239fbbde5628b64126bf11928c3d5a3b59625fac101b05ff326e430acf6a4821",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "ac5ab7ed22c306097c1b723c1979a23288580d40a909ab4dffa89c9a80f536ee"},
         "no-sfm": {
             "details.tsv": "a8e50f0a0843f0137fd9ebe85050d7ce98dafe0218640b9301cecdda675eded2",
-            "losses.txt": "36409c7bef277656106c67863ed47f6fb3aa93064e6f2ffe1ac78b236e048a7e",
+            "losses.txt": "939ba2d80f9df8a6682434de0cbe7447c3d323ea72f3b271bdc0acf684415681",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "d7e0ff3b85dc3755e7894eb18caadf24790f951cba7a747a9f9b6d354e23a16e"},
         "no-sfm-no-msff": {
             "details.tsv": "f8f06fe3c4d8710c092faea2a63a450368ff539566daf3b154ebaf1e82037512",
-            "losses.txt": "94eaeeab00b9f273fa86e14ad7c7eeaee21321f413f90ad22afe82cae47249cc",
+            "losses.txt": "5185da5a23f916b09db48980d3892539052ff34af5af9d8b4425a08c8bcb98b6",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "74e9a5b52ccefd8286601831fcf160d7e82103afbb85898e78a2de53d9cf3a95"},
         "tap-3-capacity-2": {
-            "details.tsv": "8c3647d8209642e45291255f6dac95865728957dfd6498128574923e9ef152db",
-            "losses.txt": "67d7c4b3e2339ff79077b08d9efa95f387369b97ae504e9b5b5ab346b77ef378",
+            "details.tsv": "6c0fd4d04e80219d2d8cb3b278c97f2e497b32eb5ee3b1f084506483f81793dd",
+            "losses.txt": "3043fd34cefa5b4dd40641438dde09c881b081a2f86a3d34e1374d12c84efb10",
             "masks": "db27d66eb71b5c505fc07b86d909de31e966ba99f8abf3e70074e6f4770c186c",
             "params.bin": "91ca3518189d4ea9199942474a25113ce50182cd414fa6ba288396c8f8e1178b"},
     },
