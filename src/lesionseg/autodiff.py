@@ -17,14 +17,13 @@ Conventions:
   accumulates the results in the order the pairs are listed.  No
   operation tests ``requires_grad`` itself.
 
-Convolution uses cross-correlation semantics (no kernel flip).  A stride-1
-conv with padding below the kernel size (every stride-1 conv in the model)
-sums one GEMM per kernel tap over its input, padded once and read in place
-at the padded row length; no column matrix is built.  Its output and
-gradients agree with an im2col conv to within 1e-12 of their largest
-entry, not bitwise, since the taps are summed in another order.  Other
-convs (stride 2) keep im2col.  Max-pool gradient ties are broken toward
-the first maximum in row-major order.
+Convolution uses cross-correlation semantics (no kernel flip), square
+odd kernels and "same" padding by k // 2, which the kernel fixes.  The
+stride alone picks the lowering: stride 1 sums one GEMM per kernel tap
+over the padded input read in place (no column matrix), and agrees with
+im2col to within 1e-12 of the largest entry, not bitwise; larger strides
+keep im2col.  Max-pool gradient ties are broken toward the first maximum
+in row-major order.
 """
 
 from __future__ import annotations
@@ -340,26 +339,25 @@ def softmax_rows(s: Tensor) -> Tensor:
 # spatial ops on (C, H, W) maps
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int,
-             wout: int) -> np.ndarray:
-    """(C, kh, kw, Hout, Wout) view of the C-contiguous map `xp`, whose
+def _windows(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
+    """(C, k, k, Hout, Wout) view of the C-contiguous map `xp`, whose
     element [c, i, j, y, x] is xp[c, i + stride*y, j + stride*x].
 
     Reshaped, it is the im2col column matrix; written through, it scatters
     columns back onto the map.
     """
     sc, sh, sw = xp.strides
-    return np.ndarray((xp.shape[0], kh, kw, hout, wout), dtype=xp.dtype, buffer=xp,
+    return np.ndarray((xp.shape[0], k, k, hout, wout), dtype=xp.dtype, buffer=xp,
                       strides=(sc, sh, sw, sh * stride, sw * stride))
 
 
-def _padded_rows(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(C, (H+2ph+1) * (W+2pw)) copy of the (C, H, W) map `a`, zero-padded
-    by ph rows and pw columns on each side, plus one spare zero row at the
-    bottom, each channel flattened."""
+def _padded_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """(C, (H+2p+1) * (W+2p)) copy of the (C, H, W) map `a`, zero-padded
+    by p on each side, plus one spare zero row at the bottom, each channel
+    flattened."""
     c, h, w = a.shape
-    buf = np.zeros((c, h + 2 * ph + 1, w + 2 * pw))
-    buf[:, ph:ph + h, pw:pw + w] = a
+    buf = np.zeros((c, h + 2 * p + 1, w + 2 * p))
+    buf[:, p:p + h, p:p + w] = a
     return buf.reshape(c, -1)
 
 
@@ -372,11 +370,11 @@ def _tap_sum(taps: np.ndarray, rows: np.ndarray, width: int, n: int) -> np.ndarr
     the columns with x past the valid width are garbage to crop.  Each
     slice is a strided view that BLAS reads in place.
     """
-    kh, kw = taps.shape[:2]
+    k = taps.shape[0]
     out = taps[0, 0] @ rows[:, :n]
     term = np.empty_like(out)
-    for i in range(kh):
-        for j in range(kw):
+    for i in range(k):
+        for j in range(k):
             if i or j:
                 off = i * width + j
                 np.matmul(taps[i, j], rows[:, off:off + n], out=term)
@@ -384,95 +382,91 @@ def _tap_sum(taps: np.ndarray, rows: np.ndarray, width: int, n: int) -> np.ndarr
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, k, k) kernels.
 
-    A stride-1 conv with padding below the kernel size on each axis
-    (every 3x3 conv with padding 1, and the 1x1 heads) takes one GEMM per
-    kernel tap (accumulating kn2row, Anderson et al., arXiv 1709.03395):
-    the input is zero-padded once at row length W+2p, and the output is
-    the sum over taps of the tap's (C_out, C_in) kernel slice times the
-    padded input shifted by the tap, computed at the padded width and
-    cropped.  The weight gradient is one GEMM per tap against the same
-    shifted slices, and the input gradient is the transposed convolution,
-    the same sum with the flipped taps over the output gradient padded by
-    k-1-padding.  No column matrix is built, and the tape keeps only the
-    padded input.  The sums run in another order than one GEMM over
-    im2col columns, so they agree with it to rounding, not bitwise.
+    The kernel is square with an odd side k, and the input is zero-padded
+    by p = k // 2 on each side, so a stride-s conv maps H to ceil(H / s).
+    Both lowerings read that one `_padded_rows` buffer; the stride alone
+    picks between them.
 
-    Every other conv (stride 2 in the model) is lowered to im2col + one
-    GEMM: the columns are a copy of one strided window view over the
-    zero-padded input, and the input gradient is scattered back one
-    kernel offset at a time.  Shifted slices would have to be strided
-    along the row too, which BLAS cannot read in place.
+    Stride 1 sums one GEMM per kernel tap (accumulating kn2row, Anderson
+    et al., arXiv 1709.03395): each tap's (C_out, C_in) kernel slice times
+    the padded input shifted by the tap, computed at the padded row length
+    W+2p and cropped.  The weight gradient is one GEMM per tap against the
+    same slices.  The input gradient is the transposed conv, which for a
+    stride-1 conv padded by k // 2 is padded by k // 2 too (Dumoulin &
+    Visin, arXiv 1603.07285): the same tap sum with the flipped taps over
+    the output gradient, padded as the forward pads the input.  No column
+    matrix is built.  The taps sum in another order than one im2col GEMM,
+    so the two agree to rounding, not bitwise.
+
+    Larger strides (2 in the encoder, 2 and 4 for the 1x1 coarse taps)
+    take im2col + one GEMM over a strided window view of the buffer, and
+    scatter the input gradient back one kernel offset at a time.  Their
+    tap slices would be strided along the row, which BLAS cannot read in
+    place, and a polyphase tap sum was slower (ROADMAP measured negatives).
     """
     if x.ndim != 3 or weight.ndim != 4:
-        raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {weight.shape}")
+        raise ShapeError(f"conv2d expects (C,H,W) and (O,C,k,k), got {x.shape}, {weight.shape}")
     cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
+    cout, cin_w, k, kw = weight.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d kernel must be square with an odd side, got {weight.shape}")
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input {cin} vs kernel {cin_w}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp or kw > wp:
-        raise ShapeError(
-            f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})")
-    hout = (hp - kh) // stride + 1
-    wout = (wp - kw) // stride + 1
+    p = k // 2
+    wp = w + 2 * p
+    rows = _padded_rows(x.data, p)
     bias_grad = (bias, lambda g: g.reshape(cout, -1).sum(axis=1))
 
-    if stride == 1 and padding < min(kh, kw):
-        taps = weight.data.transpose(2, 3, 0, 1).copy()   # (kh, kw, C_out, C_in)
-        rows = _padded_rows(x.data, padding, padding)
-        n = hout * wp
-        out = _tap_sum(taps, rows, wp, n).reshape(cout, hout, wp)[:, :, :wout] \
+    if stride == 1:
+        taps = weight.data.transpose(2, 3, 0, 1).copy()   # (k, k, C_out, C_in)
+        n = h * wp
+        out = _tap_sum(taps, rows, wp, n).reshape(cout, h, wp)[:, :, :w] \
             + bias.data[:, None, None]
 
         def dweight(g: np.ndarray) -> np.ndarray:
-            gw = np.zeros((cout, hout, wp))   # zero-widened to the padded row length
-            gw[:, :, :wout] = g
+            gw = np.zeros((cout, h, wp))   # zero-widened to the padded row length
+            gw[:, :, :w] = g
             gw = gw.reshape(cout, n)
             dtaps = np.empty_like(taps)
-            for i in range(kh):
-                for j in range(kw):
+            for i in range(k):
+                for j in range(k):
                     off = i * wp + j
                     np.matmul(gw, rows[:, off:off + n].T, out=dtaps[i, j])
             return dtaps.transpose(2, 3, 0, 1)
 
         def dx_taps(g: np.ndarray) -> np.ndarray:
-            ph, pw = kh - 1 - padding, kw - 1 - padding
-            width = w + kw - 1
-            flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)   # (kh, kw, C_in, C_out)
-            dx = _tap_sum(flipped, _padded_rows(g, ph, pw), width, h * width)
-            return dx.reshape(cin, h, width)[:, :, :w]
+            flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)   # (k, k, C_in, C_out)
+            dx = _tap_sum(flipped, _padded_rows(g, p), wp, n)
+            return dx.reshape(cin, h, wp)[:, :, :w]
 
         return _record(out, bias_grad, (weight, dweight), (x, dx_taps))
 
-    if padding:
-        xp = np.zeros((cin, hp, wp))
-        xp[:, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = np.ascontiguousarray(x.data)
+    hout = (h - 1) // stride + 1
+    wout = (w - 1) // stride + 1
+    xp = rows.reshape(cin, h + 2 * p + 1, wp)
     # reshape copies unless the windows happen to tile xp; a strided view
     # must still become C-contiguous, or the GEMM may sum in another order
     cols = np.ascontiguousarray(
-        _windows(xp, kh, kw, stride, hout, wout).reshape(cin * kh * kw, hout * wout))
-    wmat = weight.data.reshape(cout, cin * kh * kw)
+        _windows(xp, k, stride, hout, wout).reshape(cin * k * k, hout * wout))
+    wmat = weight.data.reshape(cout, cin * k * k)
     out = wmat @ cols
     out += bias.data[:, None]
 
     def dx_scatter(g: np.ndarray) -> np.ndarray:
-        dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, kh, kw, hout, wout)
-        dxp = np.zeros((cin, hp, wp))
-        windows = _windows(dxp, kh, kw, stride, hout, wout)
-        for i in range(kh):
-            for j in range(kw):
+        dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, k, k, hout, wout)
+        dxp = np.zeros((cin, h + 2 * p, wp))
+        windows = _windows(dxp, k, stride, hout, wout)
+        for i in range(k):
+            for j in range(k):
                 windows[:, i, j] += dcols[:, i, j]
-        return dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
+        return dxp[:, p:p + h, p:p + w]
 
     return _record(out.reshape(cout, hout, wout), bias_grad,
                    (weight, lambda g: (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)),

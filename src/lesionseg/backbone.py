@@ -58,16 +58,15 @@ class Initializer:
 
 
 class Conv:
-    """A conv2d layer bundling weight, bias and its fixed geometry."""
+    """A conv2d layer: weight, bias and stride; its padding follows from its kernel."""
 
     def __init__(self, init: Initializer, cin: int, cout: int, k: int, stride: int = 1):
         self.weight = init.conv(cout, cin, k, k)
         self.bias = Initializer.bias(cout)
         self.stride = stride
-        self.padding = k // 2
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 def named_parameters(module: object, prefix: str = "") -> dict[str, Tensor]:
