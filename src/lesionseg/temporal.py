@@ -12,17 +12,25 @@ There are two ways to compute a read:
 * When nothing records it (no tape is active, or no input requires
   grad; the rule of ``autodiff.recording``), a read without
   ``return_attention`` runs in plain numpy, a chunk of whole memory
-  entries at a time, with an online softmax (Milakov & Gimelshein, arXiv
-  1805.02867; Rabe & Staats, arXiv 2112.05682). A chunk's score block
-  holds at most ``CHUNK_SCORES`` elements, and at least one entry, so
-  memory does not grow with the number of entries, and only one chunk's
-  keys and values are ever concatenated. A read that fits in one chunk
-  runs the same float operations as the dense read and is bitwise equal
-  to it. A longer read scales the query by 1/sqrt(C/8) once, mixes each
-  chunk's unnormalized exponentials into the output, and divides by the
-  row sum once after the last chunk (FlashAttention-2, Dao, arXiv
-  2307.08691), so each score block takes six passes: GEMM, max,
-  subtract, exp, sum, GEMM. It agrees with the dense read to rounding.
+  entries at a time. A chunk's score block holds at most
+  ``CHUNK_SCORES`` elements, and at least one entry, so memory does not
+  grow with the number of entries. A read that fits in one chunk runs the
+  same float operations as the dense read and is bitwise equal to it. A
+  longer read streams its chunks with an online softmax (Milakov &
+  Gimelshein, arXiv 1805.02867; Rabe & Staats, arXiv 2112.05682) in
+  column layout: a chunk's scores are the (n*h*w, h*w) product keys^T @
+  query, so keys and values are read as the bank stores them, maxima and
+  sums run down columns and the (C/2, h*w) output needs no transpose. The
+  shift that keeps exp finite is pinned at the first chunk's exact column
+  max (that chunk holds the pinned first frame). Later chunks get their
+  scores minus the shift straight from the GEMM, from a row of ones under
+  the keys and a row of -shift under the query, which is scaled by
+  1/sqrt(C/8) once. The shift moves up, rescaling the running sums, only
+  when a score exceeds it by more than ``SHIFT_SLACK``, and the output is
+  divided by the column sums once after the last chunk (FlashAttention-2,
+  Dao, arXiv 2307.08691). So a score block takes five passes: GEMM, max
+  (an overflow check), exp, sum, GEMM. It agrees with the dense read to
+  rounding.
 * Every other read stays on the dense ``Tensor`` path over the whole
   (h*w, T*h*w) score matrix: taped reads, whose backward needs the full
   attention (in training the memory holds at most two entries), and
@@ -39,6 +47,14 @@ from .errors import ShapeError, StateError
 # score elements per chunk of an untaped read (512 KiB of float64): one
 # entry per chunk at 16x16 positions, 16 entries at 8x8
 CHUNK_SCORES = 2 ** 16
+
+# how far a streamed read's scores may rise above its shift before the shift
+# moves up. Safe: every exponential stays below e^64 (about 6e27), so even
+# 2^60 of them sum below 1e47, far from float64's limit near e^709; a
+# float's relative precision does not depend on its size; and the term at
+# the shift itself is 1, so terms that underflow (below e^-745) weigh under
+# 1e-300 of the sum, as in the dense read
+SHIFT_SLACK = 64.0
 
 
 class MemoryBank:
@@ -112,43 +128,70 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
 
 
 def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -> Tensor:
-    """Untaped read with an online softmax over chunks of entries."""
+    """Untaped read: the dense read's operations on one chunk, or a streamed read."""
     ck, h, w = query_key.shape
     cv, hw = values[0].shape[0], h * w
-    query = np.ascontiguousarray(query_key.data.reshape(ck, hw).T)     # (hw, C/8)
+    query = query_key.data.reshape(ck, hw)
     per_chunk = max(1, CHUNK_SCORES // (hw * hw))
-    scale = 1.0 / np.sqrt(ck)
-    one_chunk = len(keys) <= per_chunk
-    if not one_chunk:   # scale the query once, not every score block
-        query = query * scale
-    mixed = row_max = row_sum = None
+    if len(keys) <= per_chunk:
+        mixed = _one_chunk_read(query, keys, values)
+    else:
+        mixed = _streamed_read(query, keys, values, per_chunk)
+    return Tensor(mixed.reshape(cv, h, w))
+
+
+def _side_by_side(maps: list[Tensor], out=None) -> np.ndarray:
+    """The (C, n*hw) matrix of n (C, h, w) maps: a view of a lone map."""
+    flat = [m.data.reshape(m.shape[0], -1) for m in maps]
+    if len(flat) == 1 and out is None:
+        return flat[0]
+    return np.concatenate(flat, axis=1, out=out)
+
+
+def _one_chunk_read(query: np.ndarray, keys: list[Tensor], values: list[Tensor]) -> np.ndarray:
+    """The dense read's exact float operations, in row layout: (C/2, hw)."""
+    scores = np.ascontiguousarray(query.T) @ _side_by_side(keys)       # (hw, T*hw)
+    scores *= 1.0 / np.sqrt(query.shape[0])
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    memory_values = np.ascontiguousarray(_side_by_side(values).T)     # (T*hw, C/2)
+    return np.ascontiguousarray((scores @ memory_values).T)
+
+
+def _streamed_read(query: np.ndarray, keys: list[Tensor], values: list[Tensor],
+                   per_chunk: int) -> np.ndarray:
+    """Online softmax over chunks in column layout, with one pinned shift: (C/2, hw)."""
+    ck, hw = query.shape
+    # one chunk's keys side by side over a row of ones, and the scaled query
+    # over a row of -shift: their product is the chunk's scores minus the shift
+    block = np.empty((ck + 1, per_chunk * hw))
+    block[ck] = 1.0
+    shifted = np.empty((ck + 1, hw))
+    shifted[:ck] = query * (1.0 / np.sqrt(ck))
+    shifted[ck] = 0.0
+    col_sum, mixed = np.zeros(hw), np.zeros((values[0].shape[0], hw))
     for start in range(0, len(keys), per_chunk):
         chunk = slice(start, start + per_chunk)
-        chunk_keys = np.concatenate([k.data.reshape(ck, hw) for k in keys[chunk]], axis=1)
-        chunk_values = np.ascontiguousarray(     # (n*hw, C/2)
-            np.concatenate([v.data.reshape(cv, hw) for v in values[chunk]], axis=1).T)
-        scores = query @ chunk_keys                                     # (hw, n*hw)
-        if one_chunk:
-            scores *= scale
-        new_max = scores.max(axis=1, keepdims=True)
-        if mixed is not None:
-            new_max = np.maximum(row_max, new_max)
-        scores -= new_max
+        width = len(keys[chunk]) * hw
+        _side_by_side(keys[chunk], out=block[:ck, :width])
+        scores = block[:, :width].T @ shifted                   # (n*hw, hw): scores - shift
+        # the shift is the first chunk's column max (that chunk holds the
+        # pinned first frame), and moves up only before exp could overflow
+        if start == 0 or scores.max() > SHIFT_SLACK:
+            rise = scores.max(axis=0)
+            if start:
+                np.maximum(rise, 0.0, out=rise)
+                carried = np.exp(-rise)
+                col_sum *= carried
+                mixed *= carried
+            scores -= rise
+            shifted[ck] -= rise
         np.exp(scores, out=scores)
-        chunk_sum = scores.sum(axis=1, keepdims=True)
-        if one_chunk:       # the dense read's exact operations
-            scores /= chunk_sum
-        if mixed is None:
-            row_sum, mixed = chunk_sum, scores @ chunk_values           # (hw, C/2)
-        else:
-            carried = np.exp(row_max - new_max)
-            row_sum = row_sum * carried + chunk_sum
-            mixed *= carried
-            mixed += scores @ chunk_values
-        row_max = new_max
-    if not one_chunk:       # normalize once, after the last chunk
-        mixed /= row_sum
-    return Tensor(np.ascontiguousarray(mixed.T).reshape(cv, h, w))
+        col_sum += scores.sum(axis=0)
+        mixed += _side_by_side(values[chunk]) @ scores          # (C/2, hw)
+    mixed /= col_sum        # normalize once, after the last chunk
+    return mixed
 
 
 def memory_read(bank: MemoryBank, query_key: Tensor) -> Tensor:

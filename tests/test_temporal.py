@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionseg import temporal
@@ -225,24 +225,38 @@ def assert_close_to_dense(query, keys, values, under_tape):
 
 @settings(max_examples=60, deadline=None)
 @given(t=st.integers(1, 40), h=st.integers(1, 20), w=st.integers(1, 20),
-       under_tape=st.booleans(), magnitude=st.floats(1e-3, 10.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_chunked_read_matches_dense(t, h, w, under_tape, magnitude, seed):
-    query, keys, values = random_read(np.random.default_rng(seed), t, h, w, ck=2, cv=4,
+       widths=st.sampled_from([(2, 4), (8, 32)]), under_tape=st.booleans(),
+       magnitude=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+# the benchmark's read shape: key and value widths of the default model at
+# 16x16 positions (128x128 frames), streamed over 2 and 24 entries
+@example(t=2, h=16, w=16, widths=(8, 32), under_tape=False, magnitude=1.0, seed=0)
+@example(t=24, h=16, w=16, widths=(8, 32), under_tape=True, magnitude=3.0, seed=1)
+def test_chunked_read_matches_dense(t, h, w, widths, under_tape, magnitude, seed):
+    ck, cv = widths
+    query, keys, values = random_read(np.random.default_rng(seed), t, h, w, ck=ck, cv=cv,
                                       magnitude=magnitude)
     assert_close_to_dense(query, keys, values, under_tape)
 
 
 @pytest.mark.parametrize("under_tape", [True, False])
 def test_chunked_read_rescales_when_a_later_chunk_holds_the_row_max(under_tape):
-    # positive query and keys, key t scaled by t + 1: every chunk raises the
-    # running row max, so every chunk after the first rescales the sums
+    # positive query, the first entry's keys negative and entry 3's positive:
+    # entry 3's scores exceed the first entry's column max by more than the
+    # shift slack, and by more than 709, where exp overflows unless the
+    # streamed read moves its shift up and rescales what it has summed
     rng = np.random.default_rng(11)
-    base = rng.uniform(0.0, 0.3, (8, 16, 16))
-    keys = [Tensor((t + 1) * base) for t in range(6)]
+    keys = [Tensor(rng.uniform(-1.0, 1.0, (8, 16, 16))) for _ in range(6)]
+    keys[0] = Tensor(-400.0 * rng.uniform(0.5, 1.0, (8, 16, 16)))
+    keys[3] = Tensor(400.0 * rng.uniform(0.5, 1.0, (8, 16, 16)))
     values = [Tensor(rng.standard_normal((32, 16, 16))) for _ in range(6)]
-    query = Tensor(rng.uniform(0.0, 1.0, (8, 16, 16)))
+    query = Tensor(rng.uniform(0.5, 1.0, (8, 16, 16)))
     assert entries_per_chunk(16, 16) == 1
+    q = query.data.reshape(8, 256)
+    first_max = (keys[0].data.reshape(8, 256).T @ q).max(axis=0) / np.sqrt(8)
+    later_min = (keys[3].data.reshape(8, 256).T @ q).min(axis=0) / np.sqrt(8)
+    assert (later_min - first_max).min() > max(temporal.SHIFT_SLACK, 709.0)
+    out = chunked_read(query, keys, values, under_tape)
+    assert np.isfinite(out).all()
     assert_close_to_dense(query, keys, values, under_tape)
 
 
