@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, clamp, log, tmean, tsum
+from .autodiff import Tensor, clamp, log, tmean
 from .errors import ShapeError, ValidationError, is_binary, is_probability
 
 CLAMP_EPS = 1e-7

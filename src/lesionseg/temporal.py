@@ -11,13 +11,12 @@ There are two ways to compute a read:
 
 * When nothing records it (no tape is active, or no input requires
   grad; the rule of ``autodiff.recording``), a read without
-  ``return_attention`` runs in plain numpy, a chunk of whole memory
-  entries at a time. A chunk's score block holds at most
-  ``CHUNK_SCORES`` elements, and at least one entry, so memory does not
-  grow with the number of entries. A read that fits in one chunk runs the
-  same float operations as the dense read and is bitwise equal to it. A
-  longer read streams its chunks with an online softmax (Milakov &
-  Gimelshein, arXiv 1805.02867; Rabe & Staats, arXiv 2112.05682) in
+  ``return_attention`` streams the memory in plain numpy, a chunk of
+  whole entries at a time, with an online softmax (Milakov & Gimelshein,
+  arXiv 1805.02867; Rabe & Staats, arXiv 2112.05682). A chunk holds as
+  many entries as keep its score block within ``CHUNK_SCORES`` elements,
+  but at least one, so memory does not grow with the number of entries;
+  a shorter memory is read as one chunk of its own size. Scores are in
   column layout: a chunk's scores are the (n*h*w, h*w) product keys^T @
   query, so keys and values are read as the bank stores them, maxima and
   sums run down columns and the (C/2, h*w) output needs no transpose. The
@@ -30,11 +29,12 @@ There are two ways to compute a read:
   divided by the column sums once after the last chunk (FlashAttention-2,
   Dao, arXiv 2307.08691). So a score block takes five passes: GEMM, max
   (an overflow check), exp, sum, GEMM. It agrees with the dense read to
-  rounding.
-* Every other read stays on the dense ``Tensor`` path over the whole
+  rounding, not bitwise.
+* Every other read takes the dense ``Tensor`` path over the whole
   (h*w, T*h*w) score matrix: taped reads, whose backward needs the full
   attention (in training the memory holds at most two entries), and
-  ``return_attention=True``.
+  ``return_attention=True``. It is the reference the streamed read is
+  tested against.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     if any(v.shape != (cv, h, w) for v in values):
         raise ShapeError("memory value dims do not match the query key")
     if not return_attention and not recording([query_key, *keys, *values]):
-        return _chunked_read(query_key, keys, values)
+        return _streamed_read(query_key, keys, values)
 
     query = transpose(_flatten_key(query_key))                      # (hw, C/8)
     memory_keys = concat([_flatten_key(k) for k in keys], axis=1)   # (C/8, T*hw)
@@ -127,19 +127,6 @@ def attention_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor],
     return out
 
 
-def _chunked_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -> Tensor:
-    """Untaped read: the dense read's operations on one chunk, or a streamed read."""
-    ck, h, w = query_key.shape
-    cv, hw = values[0].shape[0], h * w
-    query = query_key.data.reshape(ck, hw)
-    per_chunk = max(1, CHUNK_SCORES // (hw * hw))
-    if len(keys) <= per_chunk:
-        mixed = _one_chunk_read(query, keys, values)
-    else:
-        mixed = _streamed_read(query, keys, values, per_chunk)
-    return Tensor(mixed.reshape(cv, h, w))
-
-
 def _side_by_side(maps: list[Tensor], out=None) -> np.ndarray:
     """The (C, n*hw) matrix of n (C, h, w) maps: a view of a lone map."""
     flat = [m.data.reshape(m.shape[0], -1) for m in maps]
@@ -148,27 +135,17 @@ def _side_by_side(maps: list[Tensor], out=None) -> np.ndarray:
     return np.concatenate(flat, axis=1, out=out)
 
 
-def _one_chunk_read(query: np.ndarray, keys: list[Tensor], values: list[Tensor]) -> np.ndarray:
-    """The dense read's exact float operations, in row layout: (C/2, hw)."""
-    scores = np.ascontiguousarray(query.T) @ _side_by_side(keys)       # (hw, T*hw)
-    scores *= 1.0 / np.sqrt(query.shape[0])
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    memory_values = np.ascontiguousarray(_side_by_side(values).T)     # (T*hw, C/2)
-    return np.ascontiguousarray((scores @ memory_values).T)
-
-
-def _streamed_read(query: np.ndarray, keys: list[Tensor], values: list[Tensor],
-                   per_chunk: int) -> np.ndarray:
-    """Online softmax over chunks in column layout, with one pinned shift: (C/2, hw)."""
-    ck, hw = query.shape
+def _streamed_read(query_key: Tensor, keys: list[Tensor], values: list[Tensor]) -> Tensor:
+    """Online softmax over chunks in column layout, with one pinned shift."""
+    ck, h, w = query_key.shape
+    hw = h * w
+    per_chunk = min(len(keys), max(1, CHUNK_SCORES // (hw * hw)))
     # one chunk's keys side by side over a row of ones, and the scaled query
     # over a row of -shift: their product is the chunk's scores minus the shift
     block = np.empty((ck + 1, per_chunk * hw))
     block[ck] = 1.0
     shifted = np.empty((ck + 1, hw))
-    shifted[:ck] = query * (1.0 / np.sqrt(ck))
+    shifted[:ck] = query_key.data.reshape(ck, hw) * (1.0 / np.sqrt(ck))
     shifted[ck] = 0.0
     col_sum, mixed = np.zeros(hw), np.zeros((values[0].shape[0], hw))
     for start in range(0, len(keys), per_chunk):
@@ -191,7 +168,7 @@ def _streamed_read(query: np.ndarray, keys: list[Tensor], values: list[Tensor],
         col_sum += scores.sum(axis=0)
         mixed += _side_by_side(values[chunk]) @ scores          # (C/2, hw)
     mixed /= col_sum        # normalize once, after the last chunk
-    return mixed
+    return Tensor(mixed.reshape(-1, h, w))
 
 
 def memory_read(bank: MemoryBank, query_key: Tensor) -> Tensor:

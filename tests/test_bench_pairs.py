@@ -120,6 +120,21 @@ def test_fewer_than_two_seeds_are_refused_before_any_run(text, tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_a_workload_the_out_file_holds_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran a benchmark"))
+    out = tmp_path / "bench.json"
+    text = '{"workloads": {"long128": {"pairs": 10}}}'
+    out.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "long128", "--seeds", "1-10", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "long128" in err and str(out) in err
+    assert out.read_text() == text
+
+
 def traced_result(correct=True, **values):
     return {"correct": correct,
             "metrics": {k.replace("_", "."): {"value": v, "unit": "ms"}

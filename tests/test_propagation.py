@@ -127,8 +127,8 @@ def test_causality_future_frames_do_not_matter():
 
 @pytest.mark.parametrize("resolution, frames", [(64, 8), (128, 6)])
 def test_a_prefix_predicts_bitwise_what_the_whole_sequence_does(resolution, frames):
-    """No frame sees the future, with one-chunk (64x64) and multi-chunk
-    (128x128) memory reads."""
+    """No frame sees the future, with memory reads that stream one chunk
+    (64x64) and several (128x128)."""
     model = SegmentationModel(ModelConfig(), seed=0)
     seq = synth_generate(SynthConfig(resolution=resolution, frames=frames), 12)
     positions = (resolution // model.config.total_stride) ** 2

@@ -14,11 +14,12 @@ kept, with each side's median per metric.
 
 The summary goes into ``--out`` under ``workloads.<W>`` (and
 ``traced.<W>``); entries for other workloads already in the file are
-kept, so each workload can be run separately, and a later call for
-the same workload replaces its entry. Per end-to-end metric it
-holds both sides' runs, median and quartiles (inclusive method), the
-number of pairs the change wins in the metric's direction, the ratio of
-the medians and the parent's quartile spread.
+kept, so each workload can be run separately. A call for a workload
+the file already holds exits 2 before any run, so a finished set is
+never replaced: write a second set to another file. Per end-to-end
+metric it holds both sides' runs, median and quartiles (inclusive
+method), the number of pairs the change wins in the metric's direction,
+the ratio of the medians and the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -176,6 +177,10 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         # the summary's quartiles need at least two pairs
         parser.error(f"--seeds needs at least two seeds, got {len(args.seeds)}")
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    if args.workload in doc.get("workloads", {}):
+        parser.error(f"{args.out} already holds workload {args.workload}; "
+                     "write this set to another --out file")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     specs, seconds = bench["end_to_end"], bench["run_seconds"]
@@ -183,7 +188,6 @@ def main(argv=None) -> int:
     pairs = run_pairs(checkouts, args.workload, args.seeds, seconds, 0)
     traced = run_pairs(checkouts, args.workload, args.trace_seed, seconds, 1)
 
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     envs = {side: _environment(checkouts[side], args.workload) for side in SIDES}
     for side in SIDES:
         if envs[side].get("git_commit", "unknown") == "unknown":
