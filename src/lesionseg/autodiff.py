@@ -65,7 +65,7 @@ __all__ = [
 class Tensor:
     """A dense float64 array plus an optional accumulated gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -141,10 +141,19 @@ class Tape:
     Use as a context manager around the forward pass, then call
     :meth:`backward` on the (scalar) result.  Replaying the nodes in
     reverse recorded order visits every node exactly once.
+
+    Backward releases each node as it passes it: the node drops its
+    output and its VJP closure (with whatever the closure kept), and the
+    output's gradient goes to the VJP and leaves the tensor.  So the
+    intermediates of the forward pass die as backward walks past them,
+    and after it only leaf tensors (those no node produced) hold
+    gradients.  The node count stays, but a tape replays once: a second
+    :meth:`backward` raises ``ValueError``.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -155,12 +164,19 @@ class Tape:
         assert popped is self
 
     def backward(self, root: Tensor) -> None:
+        if self.spent:
+            raise ValueError("backward() on a tape that was already replayed; "
+                             "record the forward pass again on a new tape")
         if not root.requires_grad:
             raise ValueError("backward() root does not require grad (was it computed on this tape?)")
+        self.spent = True
         root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
-            if node.output.grad is not None:
-                node.backward(node.output.grad)
+            g, node.output.grad = node.output.grad, None
+            backward = node.backward
+            node.output = node.backward = None
+            if g is not None:
+                backward(g)
 
 
 _TAPE_STACK: list[Tape] = []
@@ -230,8 +246,8 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _record(a.data * mask, (a, lambda g: g * mask))
+    out = a.data * (a.data > 0)
+    return _record(out, (a, lambda g: g * (out > 0)))   # out > 0 exactly where a > 0
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -382,6 +398,39 @@ def _tap_sum(taps: np.ndarray, rows: np.ndarray, width: int, n: int) -> np.ndarr
     return out
 
 
+def _taps(weight: np.ndarray) -> np.ndarray:
+    """(k, k, C_out, C_in) copy of (C_out, C_in, k, k) kernels: one
+    C-contiguous (C_out, C_in) matrix per tap."""
+    return weight.transpose(2, 3, 0, 1).copy()
+
+
+def _columns(x: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
+    """(C*k*k, Hout*Wout) im2col column matrix of the (C, H, W) map `x`,
+    padded by k // 2."""
+    c, h, w = x.shape
+    p = k // 2
+    xp = _padded_rows(x, p).reshape(c, h + 2 * p + 1, w + 2 * p)
+    # reshape copies unless the windows happen to tile xp; a strided view
+    # must still become C-contiguous, or the GEMM may sum in another order
+    return np.ascontiguousarray(
+        _windows(xp, k, stride, hout, wout).reshape(-1, hout * wout))
+
+
+def _scatter_columns(dcols: np.ndarray, stride: int, h: int, w: int) -> np.ndarray:
+    """(C, H, W) map whose each element sums the entries of the
+    (C, k, k, Hout, Wout) column gradient `dcols` that `_columns` read
+    from it: col2im, one kernel offset at a time."""
+    cin, k = dcols.shape[:2]
+    hout, wout = dcols.shape[3:]
+    p = k // 2
+    dxp = np.zeros((cin, h + 2 * p, w + 2 * p))
+    windows = _windows(dxp, k, stride, hout, wout)
+    for i in range(k):
+        for j in range(k):
+            windows[:, i, j] += dcols[:, i, j]
+    return dxp[:, p:p + h, p:p + w]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-d cross-correlation of a (C_in, H, W) map with (C_out, C_in, k, k) kernels.
 
@@ -406,6 +455,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     scatter the input gradient back one kernel offset at a time.  Their
     tap slices would be strided along the row, which BLAS cannot read in
     place, and a polyphase tap sum was slower (ROADMAP measured negatives).
+
+    A taped conv keeps no buffer of its own: its VJPs remake what they
+    read from `x` and `weight`, which stay alive anyway.  At stride 1 the
+    weight VJP re-pads `x` and the x VJP re-copies the taps; both read one
+    padded copy of the output gradient.  At larger strides the weight VJP
+    rebuilds the column matrix, (k / s)² times the input's size.
     """
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,k,k), got {x.shape}, {weight.shape}")
@@ -421,20 +476,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     p = k // 2
     wp = w + 2 * p
-    rows = _padded_rows(x.data, p)
     bias_grad = (bias, lambda g: g.reshape(cout, -1).sum(axis=1))
 
     if stride == 1:
-        taps = weight.data.transpose(2, 3, 0, 1).copy()   # (k, k, C_out, C_in)
         n = h * wp
-        out = _tap_sum(taps, rows, wp, n).reshape(cout, h, wp)[:, :, :w] \
-            + bias.data[:, None, None]
+        out = _tap_sum(_taps(weight.data), _padded_rows(x.data, p), wp, n) \
+            .reshape(cout, h, wp)[:, :, :w] + bias.data[:, None, None]
+        padded_g = []   # the output gradient, padded once for both VJPs
+
+        def pad(g: np.ndarray) -> np.ndarray:
+            if not padded_g:
+                padded_g.append(_padded_rows(g, p))
+            return padded_g[0]
 
         def dweight(g: np.ndarray) -> np.ndarray:
-            gw = np.zeros((cout, h, wp))   # zero-widened to the padded row length
-            gw[:, :, :w] = g
-            gw = gw.reshape(cout, n)
-            dtaps = np.empty_like(taps)
+            # row y of the padded gradient, read from column p and on at
+            # the padded row length, is g's row y then 2p zeros
+            gw = pad(g)[:, p * wp + p:][:, :n]
+            rows = _padded_rows(x.data, p)
+            dtaps = np.empty((k, k, cout, cin))
             for i in range(k):
                 for j in range(k):
                     off = i * wp + j
@@ -442,35 +502,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             return dtaps.transpose(2, 3, 0, 1)
 
         def dx_taps(g: np.ndarray) -> np.ndarray:
-            flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)   # (k, k, C_in, C_out)
-            dx = _tap_sum(flipped, _padded_rows(g, p), wp, n)
+            flipped = _taps(weight.data)[::-1, ::-1].transpose(0, 1, 3, 2)   # (k, k, C_in, C_out)
+            dx = _tap_sum(flipped, pad(g), wp, n)
             return dx.reshape(cin, h, wp)[:, :, :w]
 
         return _record(out, bias_grad, (weight, dweight), (x, dx_taps))
 
     hout = (h - 1) // stride + 1
     wout = (w - 1) // stride + 1
-    xp = rows.reshape(cin, h + 2 * p + 1, wp)
-    # reshape copies unless the windows happen to tile xp; a strided view
-    # must still become C-contiguous, or the GEMM may sum in another order
-    cols = np.ascontiguousarray(
-        _windows(xp, k, stride, hout, wout).reshape(cin * k * k, hout * wout))
     wmat = weight.data.reshape(cout, cin * k * k)
-    out = wmat @ cols
+    out = wmat @ _columns(x.data, k, stride, hout, wout)
     out += bias.data[:, None]
+
+    def dweight_cols(g: np.ndarray) -> np.ndarray:
+        cols = _columns(x.data, k, stride, hout, wout)
+        return (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)
 
     def dx_scatter(g: np.ndarray) -> np.ndarray:
         dcols = (wmat.T @ g.reshape(cout, -1)).reshape(cin, k, k, hout, wout)
-        dxp = np.zeros((cin, h + 2 * p, wp))
-        windows = _windows(dxp, k, stride, hout, wout)
-        for i in range(k):
-            for j in range(k):
-                windows[:, i, j] += dcols[:, i, j]
-        return dxp[:, p:p + h, p:p + w]
+        return _scatter_columns(dcols, stride, h, w)
 
     return _record(out.reshape(cout, hout, wout), bias_grad,
-                   (weight, lambda g: (g.reshape(cout, -1) @ cols.T).reshape(weight.shape)),
-                   (x, dx_scatter))
+                   (weight, dweight_cols), (x, dx_scatter))
 
 
 def pool2d(x: Tensor, mode: str) -> Tensor:
