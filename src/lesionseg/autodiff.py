@@ -8,8 +8,9 @@ Conventions:
   scalars 0-d;
 * gradients are recorded on a :class:`Tape`.  Operations executed while a
   tape is active append one node each; ``tape.backward(root)`` replays the
-  nodes in reverse execution order, which is always a valid reverse
-  topological order.  Outside a tape every operation is a plain forward
+  nodes once, in reverse execution order (always a valid reverse
+  topological order), and releases each node it passes (see
+  :class:`Tape`).  Outside a tape every operation is a plain forward
   evaluation and produces tensors with ``requires_grad=False``;
 * each operation states its forward value and one vector-Jacobian product
   (VJP) per input, as ``(input, vjp)`` pairs handed to ``_record``.  The
@@ -153,7 +154,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.spent = False
+        self.replayed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -164,12 +165,12 @@ class Tape:
         assert popped is self
 
     def backward(self, root: Tensor) -> None:
-        if self.spent:
+        if self.replayed:
             raise ValueError("backward() on a tape that was already replayed; "
                              "record the forward pass again on a new tape")
         if not root.requires_grad:
             raise ValueError("backward() root does not require grad (was it computed on this tape?)")
-        self.spent = True
+        self.replayed = True
         root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             g, node.output.grad = node.output.grad, None

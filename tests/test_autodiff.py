@@ -2,8 +2,6 @@ import math
 import re
 
 import dataclasses
-import platform
-import resource
 import tracemalloc
 import weakref
 
@@ -491,29 +489,6 @@ def test_a_taped_stride2_conv_keeps_only_its_output():
         tracemalloc.stop()
     assert len(tape.nodes) == 1 and out.data.nbytes == x.data.nbytes // 2
     assert kept < 0.55 * x.data.nbytes
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
-def test_conv_temporaries_take_no_page_faults():
-    """Importing lesionseg pins glibc's mmap and trim thresholds, so the
-    heap keeps the pages that freed temporaries leave; a new 2.2 MB
-    padded input was mmapped and faulted in afresh on every call (1541
-    faults per call in a fresh process without the policy)."""
-    rng = np.random.default_rng(10)
-    x = Tensor(rng.standard_normal((16, 128, 128)))
-    w = Tensor(rng.standard_normal((16, 16, 3, 3)))
-    b = Tensor(rng.standard_normal(16))
-
-    def call():
-        conv2d(x, w, b)
-        np.ones((2 << 20) // 8)   # a freed 2 MB array between calls
-
-    for _ in range(5):   # the heap grows to its working size once
-        call()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(50):
-        call()
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 def test_tape_replays_each_node_once():
