@@ -6,15 +6,22 @@ boundary blur, and multiplicative speckle noise (mean-1 gamma). Ground
 truth comes from the analytic pre-blur ellipse, so masks stay exact no
 matter how degraded the intensities are. Everything is a pure function of
 (config, seed).
+
+The blur is a separable Gaussian of radius int(4 sigma + 0.5), filtered
+along rows and then columns over an edge-replicated border. It does the
+floating-point operations of scipy.ndimage.gaussian_filter(img, sigma,
+mode="nearest") in the same order, so it computes the same bits: each
+output starts from the centre tap, x[i] * w[0], and adds (x[i-j] + x[i+j])
+* w[j] for j from the radius down to 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .autodiff import Tensor
 from .data import Padding, VideoSequence, write_sequence, write_split_files
@@ -44,18 +51,76 @@ class SynthConfig:
             raise ValidationError("resolution must be >= 16")
         if self.frames < 1:
             raise ValidationError("frames must be >= 1")
-        if min(self.axes) <= 0:
-            raise ValidationError("ellipse semi-axes must be positive")
+        if not all(0.0 < a < math.inf for a in self.axes):
+            raise ValidationError(f"axes must be finite and positive, got {self.axes}")
         if not 0.0 <= self.deformation < 0.5:
             raise ValidationError("deformation must be in [0, 0.5)")
-        if self.blur_sigma < 0 or self.max_speed < 0:
-            raise ValidationError("blur_sigma and max_speed must be >= 0")
+        if not 0.0 <= self.max_speed < math.inf:
+            raise ValidationError(f"max_speed must be finite and >= 0, got {self.max_speed}")
+        if not 0.0 <= self.blur_sigma < math.inf:
+            raise ValidationError(f"blur_sigma must be finite and >= 0, got {self.blur_sigma}")
+        if _blur_radius(self.blur_sigma) > self.resolution:
+            raise ValidationError(
+                f"blur_sigma {self.blur_sigma} has radius {_blur_radius(self.blur_sigma)}, "
+                f"wider than the resolution {self.resolution}")
         if not 0.0 <= self.speckle <= 1.0:
             raise ValidationError("speckle must be in [0, 1]")
         if self.distractors < 0:
             raise ValidationError("distractors must be >= 0")
         if not 0.0 <= self.distractor_similarity <= 1.0:
             raise ValidationError("distractor_similarity must be in [0, 1]")
+
+
+def _blur_radius(sigma: float) -> int:
+    return int(4.0 * sigma + 0.5)
+
+
+def _correlate_axis0(padded: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                     tmp: np.ndarray) -> None:
+    """Symmetric correlation down axis 0 of a copy padded by r = len(weights) - 1.
+
+    weights[j] is the tap j rows from the centre. The order of the sums is
+    the symmetric-kernel loop of scipy.ndimage's correlate1d.
+    """
+    r, n = len(weights) - 1, out.shape[0]
+    np.multiply(padded[r:r + n], weights[0], out=out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=tmp)
+        tmp *= weights[j]
+        out += tmp
+
+
+class _Blur:
+    """Gaussian blur of (H, W) frames, into buffers reused from frame to frame.
+
+    Each call overwrites the array the previous call returned.
+    """
+
+    def __init__(self, shape: tuple[int, int], sigma: float):
+        r = _blur_radius(sigma)
+        if r == 0:
+            self.weights = np.ones(1)   # scipy's kernel at radius 0: the identity
+        else:
+            x = np.arange(-r, r + 1)
+            phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+            self.weights = (phi / phi.sum())[r:]
+        h, w = shape
+        self.rows = np.empty((h + 2 * r, w))     # the frame, edge-padded along axis 0
+        self.cols = np.empty((h, w + 2 * r))     # axis 0's result, edge-padded along axis 1
+        self.tmp = np.empty(shape)
+        self.out = np.empty(shape)
+
+    def __call__(self, img: np.ndarray) -> np.ndarray:
+        r, (h, w) = len(self.weights) - 1, img.shape
+        rows, cols = self.rows, self.cols
+        rows[r:r + h] = img
+        rows[:r] = img[0]
+        rows[r + h:] = img[-1]
+        _correlate_axis0(rows, self.weights, cols[:, r:r + w], self.tmp)
+        cols[:, :r] = cols[:, r:r + 1]
+        cols[:, r + w:] = cols[:, r + w - 1:r + w]
+        _correlate_axis0(cols.T, self.weights, self.out.T, self.tmp.T)
+        return self.out
 
 
 @dataclass(frozen=True)
@@ -123,6 +188,7 @@ def synth_generate(cfg: SynthConfig, seed) -> VideoSequence:
             angle=float(rng.uniform(0.0, np.pi)),
         )
         blobs.append(_ellipse_region(res, spec))
+    blur = _Blur((res, res), cfg.blur_sigma) if cfg.blur_sigma > 0 else None
     frames, masks = [], []
     for spec in track:
         img = np.full((res, res), BACKGROUND, dtype=np.float64)
@@ -130,8 +196,8 @@ def synth_generate(cfg: SynthConfig, seed) -> VideoSequence:
             img[blob] = level
         region = _ellipse_region(res, spec)
         img[region] = LESION_INTENSITY
-        if cfg.blur_sigma > 0:
-            img = gaussian_filter(img, cfg.blur_sigma, mode="nearest")
+        if blur is not None:
+            img = blur(img)
         if cfg.speckle > 0:
             k = 1.0 / cfg.speckle ** 2
             img = img * rng.gamma(k, 1.0 / k, size=img.shape)

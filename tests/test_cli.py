@@ -580,6 +580,20 @@ def test_impossible_synth_geometry_exits_2(tmp_path, capsys):
     assert "field of view" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-speed", "nan", "max_speed"),    # wrote a tree of empty masks
+    ("--blur", "inf", "blur_sigma"),        # died on an OverflowError
+    ("--blur", "nan", "blur_sigma"),        # skipped the blur
+    ("--blur", "1e9", "blur_sigma"),        # a kernel of 8e9 taps
+])
+def test_a_nonfinite_or_impossible_synth_value_exits_2_naming_its_field(
+        tmp_path, capsys, flag, value, field):
+    rc = main(["synth", "--out", str(tmp_path / "d"), "--count", "1", flag, value])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -4,11 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 from scipy.ndimage import label as cc_label
 
 from lesionseg.data import load_dataset
 from lesionseg.errors import GenerationError, ValidationError
-from lesionseg.synth import (BACKGROUND, LESION_INTENSITY, SynthConfig, _lesion_track,
+from lesionseg.synth import (BACKGROUND, LESION_INTENSITY, SynthConfig, _Blur, _lesion_track,
                              make_dataset, synth_generate)
 
 CLEAN = SynthConfig(blur_sigma=0.0, speckle=0.0, deformation=0.0, distractors=0)
@@ -19,6 +22,55 @@ def test_config_validation():
                 dict(deformation=0.9), dict(speckle=2.0), dict(distractors=-1)):
         with pytest.raises(ValidationError):
             SynthConfig(**bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("max_speed", dict(max_speed=float("nan"))),
+    ("max_speed", dict(max_speed=float("inf"))),
+    ("blur_sigma", dict(blur_sigma=float("nan"))),
+    ("blur_sigma", dict(blur_sigma=float("inf"))),
+    ("axes", dict(axes=(float("nan"), 5.0))),
+    ("axes", dict(axes=(10.0, float("inf")))),
+    ("blur_sigma", dict(blur_sigma=1e9)),
+    # radius int(4 * 4.125 + 0.5) = 17 > 16
+    ("blur_sigma", dict(resolution=16, blur_sigma=4.125)),
+])
+def test_nonfinite_and_impossible_values_are_refused_naming_the_field(field, bad):
+    with pytest.raises(ValidationError, match=field):
+        SynthConfig(**bad)
+
+
+def test_a_blur_as_wide_as_the_frame_is_accepted():
+    cfg = SynthConfig(resolution=16, frames=2, axes=(4.0, 3.0), max_speed=0.3,
+                      blur_sigma=4.0)      # radius 16
+    assert len(synth_generate(cfg, 0)) == 2
+
+
+@st.composite
+def blur_cases(draw):
+    """(shape, sigma, seed): sides from 16, radius from 0 up to the longer side."""
+    shape = (draw(st.integers(16, 40)), draw(st.integers(16, 40)))
+    radius = draw(st.integers(0, max(shape)))
+    # int(4 sigma + 0.5) == radius on [(radius - 0.5) / 4, (radius + 0.5) / 4)
+    sigma = draw(st.floats(max(0.0, (radius - 0.5) / 4), (radius + 0.5) / 4,
+                           exclude_min=radius == 0, exclude_max=True))
+    return shape, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blur_cases())
+@example(case=((64, 64), 1.0, 0))      # the benchmark's frames
+@example(case=((128, 128), 1.0, 1))
+@example(case=((16, 24), 0.1, 2))      # radius 0
+@example(case=((16, 24), 6.0, 3))      # radius 24, the longer side
+def test_blur_is_bitwise_scipy_gaussian_filter(case):
+    shape, sigma, seed = case
+    img = np.random.default_rng(seed).normal(size=shape)
+    want = gaussian_filter(img, sigma, mode="nearest")
+    blur = _Blur(shape, sigma)
+    assert blur(img).tobytes() == want.tobytes()
+    # the buffers are reused: a second frame through the same blur is exact too
+    assert blur(img[::-1]).tobytes() == gaussian_filter(img[::-1], sigma, mode="nearest").tobytes()
 
 
 def test_determinism_bit_identical():
