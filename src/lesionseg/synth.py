@@ -7,8 +7,8 @@ truth comes from the analytic pre-blur ellipse, so masks stay exact no
 matter how degraded the intensities are. Everything is a pure function of
 (config, seed).
 
-The blur is a separable Gaussian of radius int(4 sigma + 0.5), filtered
-along rows and then columns over an edge-replicated border. It does the
+The blur is a separable Gaussian of radius int(4 sigma + 0.5), applied
+down axis 0 and then along axis 1, each over an edge-replicated border. It does the
 floating-point operations of scipy.ndimage.gaussian_filter(img, sigma,
 mode="nearest") in the same order, so it computes the same bits: each
 output starts from the centre tap, x[i] * w[0], and adds (x[i-j] + x[i+j])
@@ -75,6 +75,14 @@ def _blur_radius(sigma: float) -> int:
     return int(4.0 * sigma + 0.5)
 
 
+def _edge_pad(padded: np.ndarray, x: np.ndarray) -> None:
+    """Copy x into the middle rows of padded and repeat its edge rows above and below."""
+    r, n = (len(padded) - len(x)) // 2, len(x)
+    padded[r:r + n] = x
+    padded[:r] = x[0]
+    padded[r + n:] = x[-1]
+
+
 def _correlate_axis0(padded: np.ndarray, weights: np.ndarray, out: np.ndarray,
                      tmp: np.ndarray) -> None:
     """Symmetric correlation down axis 0 of a copy padded by r = len(weights) - 1.
@@ -93,7 +101,10 @@ def _correlate_axis0(padded: np.ndarray, weights: np.ndarray, out: np.ndarray,
 class _Blur:
     """Gaussian blur of (H, W) frames, into buffers reused from frame to frame.
 
-    Each call overwrites the array the previous call returned.
+    Both passes correlate down axis 0 of a contiguous copy: the axis-1
+    pass reads the axis-0 pass's result transposed, since numpy runs the
+    same sums over strided columns several times slower. Each call
+    overwrites the array the previous call returned.
     """
 
     def __init__(self, shape: tuple[int, int], sigma: float):
@@ -105,21 +116,20 @@ class _Blur:
             phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
             self.weights = (phi / phi.sum())[r:]
         h, w = shape
-        self.rows = np.empty((h + 2 * r, w))     # the frame, edge-padded along axis 0
-        self.cols = np.empty((h, w + 2 * r))     # axis 0's result, edge-padded along axis 1
-        self.tmp = np.empty(shape)
-        self.out = np.empty(shape)
+        self.rows = np.empty((h + 2 * r, w))     # the frame, edge-padded
+        self.cols = np.empty((w + 2 * r, h))     # the axis-0 result transposed, edge-padded
+        self.rows_out = np.empty((h, w))
+        self.cols_out = np.empty((w, h))
+        self.tmp = np.empty(h * w)
+        self.out = np.empty((h, w))
 
     def __call__(self, img: np.ndarray) -> np.ndarray:
-        r, (h, w) = len(self.weights) - 1, img.shape
-        rows, cols = self.rows, self.cols
-        rows[r:r + h] = img
-        rows[:r] = img[0]
-        rows[r + h:] = img[-1]
-        _correlate_axis0(rows, self.weights, cols[:, r:r + w], self.tmp)
-        cols[:, :r] = cols[:, r:r + 1]
-        cols[:, r + w:] = cols[:, r + w - 1:r + w]
-        _correlate_axis0(cols.T, self.weights, self.out.T, self.tmp.T)
+        h, w = img.shape
+        _edge_pad(self.rows, img)
+        _correlate_axis0(self.rows, self.weights, self.rows_out, self.tmp.reshape(h, w))
+        _edge_pad(self.cols, self.rows_out.T)
+        _correlate_axis0(self.cols, self.weights, self.cols_out, self.tmp.reshape(w, h))
+        self.out[...] = self.cols_out.T
         return self.out
 
 

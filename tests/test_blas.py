@@ -44,7 +44,7 @@ threads = {}
 for handle in _mapped_openblas():
     getter = next((getattr(handle, name) for name in GETTERS if hasattr(handle, name)), None)
     if getter is not None:
-        getter.restype = ctypes.c_int
+        getter.argtypes, getter.restype = [], ctypes.c_int
     threads[handle._name] = None if getter is None else getter()
 print(json.dumps({"modules": sorted(sys.modules), "threads": threads}))
 """
