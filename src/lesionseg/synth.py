@@ -8,11 +8,11 @@ matter how degraded the intensities are. Everything is a pure function of
 (config, seed).
 
 The blur is a separable Gaussian of radius int(4 sigma + 0.5), applied
-down axis 0 and then along axis 1, each over an edge-replicated border. It does the
-floating-point operations of scipy.ndimage.gaussian_filter(img, sigma,
-mode="nearest") in the same order, so it computes the same bits: each
-output starts from the centre tap, x[i] * w[0], and adds (x[i-j] + x[i+j])
-* w[j] for j from the radius down to 1.
+down axis 0 and then along axis 1, each over an edge-replicated border.
+It does the floating-point operations of scipy.ndimage.gaussian_filter(
+img, sigma, mode="nearest") in the same order, so it computes the same
+bits: each output starts from the centre tap, x[i] * w[0], and adds
+(x[i-j] + x[i+j]) * w[j] for j from the radius down to 1.
 """
 
 from __future__ import annotations
